@@ -112,15 +112,19 @@ for t in fault_tolerance_test etl_resume_test integrity_test \
   /tmp/griddb_asan/tests/"$t" >/dev/null
 done
 
-echo "== tsan: build + run cache + overload + tenant concurrency suites =="
+echo "== tsan: build + run cache + overload + tenant + fan-out concurrency suites =="
+# fault_tolerance_test and federation_property_test drive the pooled
+# fan-out (FanOut in util/thread_pool.h) at both widths.
 cmake -B /tmp/griddb_tsan -S . -DGRIDDB_SANITIZE=thread >/dev/null
 cmake --build /tmp/griddb_tsan -j"$(nproc)" --target \
   query_cache_test concurrency_test overload_test \
   tenant_isolation_test batch_service_test \
-  vectorized_parity_test wire_codec_test chaos_test >/dev/null
+  vectorized_parity_test wire_codec_test chaos_test \
+  fault_tolerance_test federation_property_test >/dev/null
 for t in query_cache_test concurrency_test overload_test \
          tenant_isolation_test batch_service_test \
-         vectorized_parity_test wire_codec_test chaos_test; do
+         vectorized_parity_test wire_codec_test chaos_test \
+         fault_tolerance_test federation_property_test; do
   echo "-- $t"
   /tmp/griddb_tsan/tests/"$t" >/dev/null
 done

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <iterator>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "griddb/obs/metrics.h"
 #include "griddb/sql/fingerprint.h"
@@ -231,10 +231,17 @@ class WindowLeaseSink : public rpc::wire::StreamSink {
   AdmissionController::MemoryLease lease_;
 };
 
-/// Status codes under which an opted-in client would rather see a stale
-/// cached result than an error: the same transient set the replica
-/// failover path treats as retry-worthy.
-bool IsStaleServable(StatusCode code) {
+/// Transient failures: the replica failover path moves on to the next
+/// replica, and an opted-in client would rather see a stale cached result
+/// than the error. kNotFound qualifies because it usually means a stale
+/// RLS row (the replica dropped the table, or never had it) and another
+/// replica may still answer. kCorruption likewise — a replica serving
+/// corrupt data (or a corrupted reply) should not sink the query while
+/// healthy replicas remain. kResourceExhausted too: a shed by one
+/// overloaded replica says nothing about its siblings. kDeadlineExceeded
+/// is NOT — the budget is shared, so another replica cannot do better with
+/// less time. Everything else non-transient is permanent.
+bool IsTransient(StatusCode code) {
   return code == StatusCode::kUnavailable || code == StatusCode::kTimeout ||
          code == StatusCode::kNotFound || code == StatusCode::kCorruption ||
          code == StatusCode::kResourceExhausted;
@@ -286,14 +293,13 @@ DataAccessService::DataAccessService(DataAccessConfig config,
                 options.parallel_subqueries = config_.parallel_subqueries;
                 options.projection_pushdown = config_.projection_pushdown;
                 options.predicate_pushdown = config_.predicate_pushdown;
-                options.max_threads = config_.max_threads;
                 options.client_host = config_.host;
                 options.user = config_.db_user;
                 options.password = config_.db_password;
                 return options;
               }()),
       pool_(catalog, transport->network(), transport->costs(), config_.host),
-      workers_(config_.max_threads,
+      workers_(kFanOutThreads,
                [&] {
                  // Overflowing fan-out tasks are rejected, not blocked: the
                  // submitting thread holds an admission slot, and blocking
@@ -306,7 +312,7 @@ DataAccessService::DataAccessService(DataAccessConfig config,
                }()),
       cache_([&] {
         cache::QueryCacheConfig cc;
-        cc.plan_capacity = config_.plan_cache_entries;
+        cc.plan_capacity = kPlanCacheEntries;
         cc.result_capacity_bytes = config_.result_cache_bytes;
         return cc;
       }()),
@@ -701,13 +707,10 @@ Result<ResultSet> DataAccessService::ExecuteSubQueryRouted(
     if (stats) ++stats->pool_ral_subqueries;
     return rs;
   }
-  Result<ResultSet> rs =
-      render.full_sql.empty()
-          ? driver_.ExecuteSubQuery(sub, cost)
-          : driver_.ExecuteSubQueryRendered(sub, render.full_sql, cost);
-  GRIDDB_RETURN_IF_ERROR(rs.status());
+  GRIDDB_ASSIGN_OR_RETURN(ResultSet rs,
+                          driver_.ExecuteSubQuery(sub, cost, render.full_sql));
   if (stats) ++stats->jdbc_subqueries;
-  return std::move(*rs);
+  return rs;
 }
 
 namespace {
@@ -797,15 +800,12 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
     }
     // JDBC path for unsupported vendors or queries beyond the RAL form.
     net::Cost jdbc_cost;
-    Result<ResultSet> rs =
-        cached->direct_sql.empty()
-            ? driver_.ExecuteDirect(plan, &jdbc_cost)
-            : driver_.ExecuteDirectRendered(plan, cached->direct_sql,
-                                            &jdbc_cost);
-    GRIDDB_RETURN_IF_ERROR(rs.status());
+    GRIDDB_ASSIGN_OR_RETURN(
+        ResultSet rs,
+        driver_.ExecuteDirect(plan, &jdbc_cost, cached->direct_sql));
     if (cost) cost->AddSequential(jdbc_cost);
     if (stats) ++stats->jdbc_subqueries;
-    return std::move(*rs);
+    return rs;
   }
 
   // Multi-database: route each sub-query, in parallel when enabled.
@@ -827,18 +827,12 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
                 static_cast<double>(connections.size()));
   }
 
-  std::vector<std::pair<std::string, ResultSet>> partials(
-      plan.subqueries.size());
-  std::vector<net::Cost> branch_costs(plan.subqueries.size());
-  std::vector<QueryStats> branch_stats(plan.subqueries.size());
-  std::vector<Status> branch_status(plan.subqueries.size(), Status::Ok());
-
   // One branch body shared by the parallel and serial paths: probe the
   // per-sub-query result cache (so the unchanged side of a cross-database
   // join is served from memory even when the other side misses), execute
   // on a miss, insert on success. Cache entries are immutable shared rows;
   // the partial gets a copy because the merge mutates its input.
-  auto run_branch = [&](size_t i) -> Status {
+  auto run_branch = [&](size_t i, Branch& branch) -> Status {
     const SubQuery& sub = plan.subqueries[i];
     const cache::RenderedSubQuery& render = cached->subquery_renders[i];
     // Every branch shares the query's token: the first sibling to observe
@@ -847,7 +841,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
     if (cancel != nullptr) {
       Status live = cancel->Check();
       if (!live.ok()) {
-        ++branch_stats[i].cancelled_subqueries;
+        ++branch.stats.cancelled_subqueries;
         CancelledSubqueriesCounter().Add(1);
         return live;
       }
@@ -857,19 +851,19 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
       sub_key = cache_.ResultKey(render.cache_id, plan.epoch,
                                  {ToLower(sub.table.logical)});
       if (cache::CachedResult hit = cache_.LookupResult(sub_key)) {
-        ++branch_stats[i].subquery_cache_hits;
+        ++branch.stats.subquery_cache_hits;
         SubqueryCacheHitsCounter().Add(1);
-        partials[i] = {sub.effective_name, ResultSet(*hit.result)};
+        branch.partial = ResultSet(*hit.result);
         return Status::Ok();
       }
       SubqueryCacheMissesCounter().Add(1);
     }
-    auto rs = ExecuteSubQueryRouted(sub, render, &branch_costs[i],
-                                    &branch_stats[i], cancel);
-    SubqueryMsHistogram().Observe(branch_costs[i].total_ms());
+    auto rs = ExecuteSubQueryRouted(sub, render, &branch.cost, &branch.stats,
+                                    cancel);
+    SubqueryMsHistogram().Observe(branch.cost.total_ms());
     if (!rs.ok()) {
       if (rs.status().code() == StatusCode::kDeadlineExceeded) {
-        ++branch_stats[i].cancelled_subqueries;
+        ++branch.stats.cancelled_subqueries;
         CancelledSubqueriesCounter().Add(1);
       }
       return rs.status();
@@ -884,7 +878,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
                           {ToLower(sub.table.logical)},
                           std::make_shared<ResultSet>(*rs), sub_meta);
     }
-    partials[i] = {sub.effective_name, std::move(*rs)};
+    branch.partial = std::move(*rs);
     return Status::Ok();
   };
 
@@ -892,99 +886,92 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
   // context is captured here and each branch opens its span under it
   // explicitly — the same mechanism a remote server uses, minus the wire.
   const obs::SpanContext fanout_parent = tracer_.CurrentContext();
-  if (config_.enhanced_driver && config_.parallel_subqueries &&
-      plan.subqueries.size() > 1) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(plan.subqueries.size());
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      futures.push_back(
-          workers_.Submit([this, &plan, &run_branch, fanout_parent,
-                           i]() -> Status {
-            obs::Span sub_span =
-                tracer_.StartSpanUnder("dataaccess.subquery", fanout_parent);
-            sub_span.AddAttr("table", plan.subqueries[i].effective_name);
-            Status branch = run_branch(i);
-            if (!branch.ok() && sub_span.active()) {
-              sub_span.SetError(branch.ToString());
-            }
-            return branch;
-          }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      try {
-        branch_status[i] = futures[i].get();
-      } catch (const std::future_error&) {
-        // Bounded worker queue rejected the task (broken promise): the
-        // branch never ran. Shed it the same way admission sheds a whole
-        // query, hint included, so RetryPolicy treats it as retryable.
-        branch_status[i] = ResourceExhausted(
-            "sub-query rejected: worker queue full; retry_after_ms=" +
-            std::to_string(static_cast<long long>(
-                config_.admission.retry_after_ms)));
-      }
-    }
-    if (cost) cost->AddParallel(branch_costs);
-  } else {
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      obs::Span sub_span = tracer_.StartSpan("dataaccess.subquery");
-      sub_span.AddAttr("table", plan.subqueries[i].effective_name);
-      Status branch = run_branch(i);
-      if (!branch.ok() && sub_span.active()) {
-        sub_span.SetError(branch.ToString());
-      }
-      sub_span.End();
-      if (!branch.ok()) {
-        // Fail-fast (seed behaviour) unless a partial mode may substitute
-        // for this failure; the resolution loop below decides which.
-        const bool was_cancelled =
-            branch.code() == StatusCode::kDeadlineExceeded;
-        if (was_cancelled ? !config_.partial_on_deadline
-                          : !config_.partial_results) {
-          return branch;
+  const bool parallel = config_.enhanced_driver && config_.parallel_subqueries;
+  const size_t n = plan.subqueries.size();
+  std::vector<Branch> branches = FanOut<Branch>(
+      workers_, n, parallel ? n : 1,
+      [&](size_t i, Branch& branch) -> Status {
+        obs::Span sub_span =
+            tracer_.StartSpanUnder("dataaccess.subquery", fanout_parent);
+        sub_span.AddAttr("table", plan.subqueries[i].effective_name);
+        Status status = run_branch(i, branch);
+        if (!status.ok() && sub_span.active()) {
+          sub_span.SetError(status.ToString());
         }
-        branch_status[i] = branch;
-      }
-      if (cost) cost->AddSequential(branch_costs[i]);
+        return status;
+      },
+      [this](const Status& status) { return Substitutes(status); },
+      WorkerQueueFull());
+  if (cost) {
+    std::vector<net::Cost> branch_costs;
+    for (const Branch& branch : branches) branch_costs.push_back(branch.cost);
+    if (parallel) {
+      cost->AddParallel(branch_costs);
+    } else {
+      for (const net::Cost& branch : branch_costs) cost->AddSequential(branch);
     }
   }
-  // Resolve failed branches: whole-query failure by default, or an empty
-  // substitute partial (schema from the planned field aliases) plus an
-  // error-report line in partial-results mode.
-  for (size_t i = 0; i < branch_status.size(); ++i) {
-    if (branch_status[i].ok()) continue;
-    // A stale-epoch branch must fail the whole query so it gets
-    // replanned — substituting an empty partial would silently return
-    // rows computed against two different schema versions.
-    if (IsEpochStale(branch_status[i])) return branch_status[i];
-    // A cancelled branch fails the whole query with kDeadlineExceeded
-    // unless the operator opted into deadline-truncated partials; other
-    // failures follow the ordinary partial-results switch.
-    const bool was_cancelled =
-        branch_status[i].code() == StatusCode::kDeadlineExceeded;
-    if (was_cancelled ? !config_.partial_on_deadline
-                      : !config_.partial_results) {
-      return branch_status[i];
+  std::vector<std::string> names;
+  for (const SubQuery& sub : plan.subqueries) {
+    names.push_back(sub.effective_name);
+  }
+  // A failed sub-query's substitute takes its schema from the planned
+  // field aliases.
+  return ResolveAndMerge(
+      *plan.merge_stmt, std::move(branches), names,
+      [&](size_t i) {
+        std::vector<std::string> columns;
+        for (const auto& [physical, logical] : plan.subqueries[i].fields) {
+          (void)physical;
+          columns.push_back(ToLower(logical));
+        }
+        return columns;
+      },
+      cost, stats, cancel, tenant);
+}
+
+Status DataAccessService::WorkerQueueFull() const {
+  // The branch never ran. Shed it the same way admission sheds a whole
+  // query, hint included, so RetryPolicy treats it as retryable.
+  return ResourceExhausted(
+      "sub-query rejected: worker queue full; retry_after_ms=" +
+      std::to_string(
+          static_cast<long long>(config_.admission.retry_after_ms)));
+}
+
+bool DataAccessService::Substitutes(const Status& status) const {
+  // A stale-epoch branch must fail the whole query so it gets replanned —
+  // substituting an empty partial would silently return rows computed
+  // against two different schema versions.
+  if (IsEpochStale(status)) return false;
+  return status.code() == StatusCode::kDeadlineExceeded
+             ? config_.partial_on_deadline
+             : config_.partial_results;
+}
+
+Result<ResultSet> DataAccessService::ResolveAndMerge(
+    const sql::SelectStmt& merge_stmt, std::vector<Branch> branches,
+    const std::vector<std::string>& names,
+    const std::function<std::vector<std::string>(size_t)>& substitute_columns,
+    net::Cost* cost, QueryStats* stats, const CancelToken* cancel,
+    const std::string& tenant) {
+  std::vector<std::pair<std::string, ResultSet>> partials;
+  partials.reserve(branches.size());
+  for (size_t i = 0; i < branches.size(); ++i) {
+    Branch& branch = branches[i];
+    if (stats) MergeQueryStats(branch.stats, stats);
+    if (branch.status.ok()) {
+      partials.emplace_back(names[i], std::move(branch.partial));
+      continue;
     }
-    const SubQuery& sub = plan.subqueries[i];
-    std::vector<std::string> columns;
-    columns.reserve(sub.fields.size());
-    for (const auto& [physical, logical] : sub.fields) {
-      (void)physical;
-      columns.push_back(ToLower(logical));
-    }
-    partials[i] = {sub.effective_name, EmptyPartial(std::move(columns))};
+    if (!Substitutes(branch.status)) return branch.status;
+    // Inner joins against the empty substitute yield no rows; LEFT JOINs
+    // NULL-pad.
+    partials.emplace_back(names[i], EmptyPartial(substitute_columns(i)));
     if (stats) {
       ++stats->subqueries_failed;
-      stats->subquery_errors.push_back(sub.effective_name + ": " +
-                                       branch_status[i].ToString());
-    }
-  }
-  if (stats) {
-    for (const QueryStats& branch : branch_stats) {
-      stats->pool_ral_subqueries += branch.pool_ral_subqueries;
-      stats->jdbc_subqueries += branch.jdbc_subqueries;
-      stats->subquery_cache_hits += branch.subquery_cache_hits;
-      stats->cancelled_subqueries += branch.cancelled_subqueries;
+      stats->subquery_errors.push_back(names[i] + ": " +
+                                       branch.status.ToString());
     }
   }
 
@@ -1001,8 +988,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
                           admission_.ReserveMergeMemory(merge_bytes, tenant));
 
   obs::Span merge_span = tracer_.StartSpan("dataaccess.merge");
-  auto merged =
-      unity::MergePartials(*plan.merge_stmt, std::move(partials), cancel);
+  auto merged = unity::MergePartials(merge_stmt, std::move(partials), cancel);
   if (!merged.ok()) {
     if (merge_span.active()) merge_span.SetError(merged.status().ToString());
     return merged.status();
@@ -1106,25 +1092,7 @@ Result<ResultSet> DataAccessService::RemoteQuery(
   }
   if (stats) {
     auto remote_stats = response->Member("stats");
-    if (remote_stats.ok()) {
-      QueryStats remote = StatsFromRpc(**remote_stats);
-      stats->pool_ral_subqueries += remote.pool_ral_subqueries;
-      stats->jdbc_subqueries += remote.jdbc_subqueries;
-      stats->databases += remote.databases;
-      stats->retries += remote.retries;
-      stats->failovers += remote.failovers;
-      stats->subqueries_failed += remote.subqueries_failed;
-      stats->breaker_skips += remote.breaker_skips;
-      stats->replans += remote.replans;
-      stats->plan_cache_hits += remote.plan_cache_hits;
-      stats->result_cache_hits += remote.result_cache_hits;
-      stats->subquery_cache_hits += remote.subquery_cache_hits;
-      stats->cancelled_subqueries += remote.cancelled_subqueries;
-      stats->stale = stats->stale || remote.stale;
-      for (std::string& line : remote.subquery_errors) {
-        stats->subquery_errors.push_back(std::move(line));
-      }
-    }
+    if (remote_stats.ok()) MergeQueryStats(StatsFromRpc(**remote_stats), stats);
   }
   return rs;
 }
@@ -1164,19 +1132,6 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
     const std::string& sql_text, net::Cost* cost, QueryStats* stats,
     int forward_depth, const std::string& forward_path,
     const CancelToken* cancel, const std::string& tenant) {
-  // kNotFound is failover-worthy: it usually means a stale RLS row (the
-  // replica dropped the table, or never had it) and another replica may
-  // still answer. kCorruption likewise — a replica serving corrupt data
-  // (or a corrupted reply) should not sink the query while healthy
-  // replicas remain. kResourceExhausted too: a shed by one overloaded
-  // replica says nothing about its siblings. kDeadlineExceeded is NOT —
-  // the budget is shared, so another replica cannot do better with less
-  // time. Everything else non-transient is permanent.
-  auto failover_worthy = [](StatusCode code) {
-    return code == StatusCode::kUnavailable || code == StatusCode::kTimeout ||
-           code == StatusCode::kNotFound || code == StatusCode::kCorruption ||
-           code == StatusCode::kResourceExhausted;
-  };
   Status last_error = Unavailable("no reachable JClarens replica for table '" +
                                   table + "'");
   bool previous_failed = false;
@@ -1205,7 +1160,7 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
     // The mapping that sent us here is suspect; make the next query
     // re-consult the live RLS catalog instead of the cache.
     if (rls_) rls_->InvalidateCache(ToLower(table));
-    if (!failover_worthy(last_error.code())) return last_error;
+    if (!IsTransient(last_error.code())) return last_error;
     previous_failed = true;
   }
   return last_error;
@@ -1268,12 +1223,12 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
     if (driver_.dictionary().HasTable(ref->table)) any_local = true;
   }
 
+  if (stats) {
+    stats->tables = all_tables.size();
+    stats->distributed = true;
+  }
   // Whole-query forwarding: every table lives on one remote server.
   if (!any_local && remote_servers.size() == 1) {
-    if (stats) {
-      stats->tables = all_tables.size();
-      stats->distributed = true;
-    }
     if (cost) {
       cost->AddMs(total_lookup_ms);
       cost->AddMs(transport_->costs().connect_auth_ms);
@@ -1302,10 +1257,6 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
 
   // Mixed: fetch a partial per table reference (local tables through the
   // local driver, remote ones from their hosting server), merge here.
-  if (stats) {
-    stats->tables = all_tables.size();
-    stats->distributed = true;
-  }
 
   // Tables on the nullable side of a LEFT JOIN must be fetched whole
   // (see unity/planner.cc: pushdown there changes NULL-padding at merge).
@@ -1345,19 +1296,22 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
   };
 
   // One fetch per table reference, grouped by where it executes: the
-  // local group plus one group per remote server. Groups run as parallel
-  // branches (they hit different machines); within a group the fetches
-  // are serial, and each group pays the fresh connect/auth of the
-  // distributed path once per database/server.
+  // local group, then one group per remote server. Groups are charged as
+  // parallel branches (they hit different machines) but run one after
+  // another in real time: net::FaultPlan draws every message fate from one
+  // seeded RNG, so concurrent groups would break chaos-seed replay. Within
+  // a group the fetches are serial, and each group pays the fresh
+  // connect/auth of the distributed path once per database/server.
   struct Fetch {
     std::string effective;
     std::string table;  // lower-case logical name
     std::string sql;
     bool local = false;
-    std::string url;  // remote server when !local
+    size_t group = 0;     // index into group_costs
+    double setup_ms = 0;  // the group's connect (+ lookup), on its 1st fetch
   };
-  std::vector<Fetch> local_group;
-  std::map<std::string, std::vector<Fetch>> remote_groups;  // by server url
+  // By server url; the local group's key "" sorts first.
+  std::map<std::string, std::vector<Fetch>> groups;
   std::set<std::string> local_connections;
   for (const sql::TableRef* ref : all_tables) {
     Fetch fetch;
@@ -1368,97 +1322,54 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
     if (pushed) {
       fetch.sql += " WHERE " + sql::RenderExpr(*pushed, ClientDialect());
     }
-    if (driver_.dictionary().HasTable(ref->table)) {
-      fetch.local = true;
+    fetch.local = driver_.dictionary().HasTable(ref->table);
+    if (fetch.local) {
       for (const unity::TableBinding& b :
            driver_.dictionary().Locate(ref->table)) {
         local_connections.insert(b.connection);
         break;  // fresh connect charged for the replica actually used
       }
-      local_group.push_back(std::move(fetch));
-    } else {
-      fetch.url = table_to_server[fetch.table];
-      remote_groups[fetch.url].push_back(std::move(fetch));
     }
+    groups[fetch.local ? "" : table_to_server[fetch.table]].push_back(
+        std::move(fetch));
   }
   if (cost) cost->AddMs(transport_->costs().distribution_overhead_ms);
 
-  std::vector<std::pair<std::string, ResultSet>> partials;
-  std::vector<net::Cost> branch_costs;
-
-  // Partial-results substitution for a failed fetch: an empty set with a
-  // best-effort schema so the merge still binds (dictionary for local
-  // tables, referenced columns otherwise).
-  auto record_failed_fetch = [&](const Fetch& fetch, const Status& error,
-                                 std::vector<std::pair<std::string, ResultSet>>*
-                                     out) {
-    std::vector<std::string> columns;
-    if (fetch.local) {
-      for (const unity::TableBinding& b :
-           driver_.dictionary().Locate(fetch.table)) {
-        for (const unity::ColumnBinding& col : b.columns) {
-          columns.push_back(ToLower(col.logical));
-        }
-        break;
-      }
-    } else {
-      columns = ReferencedColumns(stmt, fetch.effective);
+  const double connect_ms = transport_->costs().connect_auth_ms;
+  std::vector<Fetch> fetches;
+  std::vector<net::Cost> group_costs;
+  for (auto& [url, group] : groups) {
+    group.front().setup_ms =
+        url.empty()
+            ? connect_ms * static_cast<double>(local_connections.size())
+            : lookup_ms_by_server[url] + connect_ms;
+    for (Fetch& fetch : group) {
+      fetch.group = group_costs.size();
+      fetches.push_back(std::move(fetch));
     }
-    if (stats) {
-      ++stats->subqueries_failed;
-      stats->subquery_errors.push_back(fetch.effective + ": " +
-                                       error.ToString());
-    }
-    out->emplace_back(fetch.effective, EmptyPartial(std::move(columns)));
-  };
-
-  // Failed-fetch policy shared by the local and remote groups: cancelled
-  // fetches follow partial_on_deadline, everything else partial_results
-  // (same split as QueryLocal's branch resolution).
-  auto substitutable = [&](const Status& error) {
-    return error.code() == StatusCode::kDeadlineExceeded
-               ? config_.partial_on_deadline
-               : config_.partial_results;
-  };
-
-  if (!local_group.empty()) {
-    net::Cost branch;
-    branch.AddMs(transport_->costs().connect_auth_ms *
-                 static_cast<double>(local_connections.size()));
-    for (const Fetch& fetch : local_group) {
-      if (cancel != nullptr) {
-        Status live = cancel->Check();
-        if (!live.ok() && !substitutable(live)) return live;
-      }
-      Result<ResultSet> partial = driver_.Query(fetch.sql, &branch, cancel);
-      if (!partial.ok()) {
-        if (!substitutable(partial.status())) return partial.status();
-        record_failed_fetch(fetch, partial.status(), &partials);
-        continue;
-      }
-      partials.emplace_back(fetch.effective, std::move(*partial));
-    }
-    branch_costs.push_back(branch);
+    group_costs.emplace_back();
   }
-  for (const auto& [url, fetches] : remote_groups) {
-    net::Cost branch;
-    branch.AddMs(lookup_ms_by_server[url]);
-    branch.AddMs(transport_->costs().connect_auth_ms);
-    for (const Fetch& fetch : fetches) {
-      Result<ResultSet> partial =
-          RemoteQueryFailover(table_candidates[fetch.table], fetch.table,
-                              fetch.sql, &branch, stats, forward_depth,
-                              forward_path, cancel, tenant);
-      if (!partial.ok()) {
-        if (!substitutable(partial.status())) return partial.status();
-        record_failed_fetch(fetch, partial.status(), &partials);
-        continue;
-      }
-      partials.emplace_back(fetch.effective, std::move(*partial));
-    }
-    branch_costs.push_back(branch);
+  std::vector<Branch> branches = FanOut<Branch>(
+      workers_, fetches.size(), 1,
+      [&](size_t i, Branch& branch) -> Status {
+        const Fetch& fetch = fetches[i];
+        branch.cost.AddMs(fetch.setup_ms);
+        GRIDDB_ASSIGN_OR_RETURN(
+            branch.partial,
+            fetch.local
+                ? driver_.Query(fetch.sql, &branch.cost, cancel)
+                : RemoteQueryFailover(table_candidates[fetch.table],
+                                      fetch.table, fetch.sql, &branch.cost,
+                                      &branch.stats, forward_depth,
+                                      forward_path, cancel, tenant));
+        return Status::Ok();
+      },
+      [this](const Status& status) { return Substitutes(status); },
+      WorkerQueueFull());
+  for (size_t i = 0; i < fetches.size(); ++i) {
+    group_costs[fetches[i].group].AddSequential(branches[i].cost);
   }
-  if (cost) cost->AddParallel(branch_costs);
+  if (cost) cost->AddParallel(group_costs);
 
   // Merge statement: original with table refs renamed to effective names.
   std::unique_ptr<sql::SelectStmt> merge_stmt = stmt.Clone();
@@ -1470,22 +1381,28 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
     join.table.table = join.table.EffectiveName();
     join.table.alias.clear();
   }
-  // Same merge-memory bound as QueryLocal: the integrate step holds every
-  // partial (local rows and remote transfers alike) in middleware memory,
-  // plus the vectorized executor's columnar copy (~2x, see DESIGN.md §15).
-  size_t merge_bytes = 0;
-  for (const auto& partial : partials) merge_bytes += partial.second.WireSize();
-  merge_bytes *= 2;
-  GRIDDB_ASSIGN_OR_RETURN(AdmissionController::MemoryLease merge_lease,
-                          admission_.ReserveMergeMemory(merge_bytes, tenant));
-  GRIDDB_ASSIGN_OR_RETURN(
-      ResultSet merged,
-      unity::MergePartials(*merge_stmt, std::move(partials), cancel));
-  if (cost) {
-    cost->AddMs(transport_->costs().integrate_per_row_ms *
-                static_cast<double>(merged.num_rows()));
-  }
-  return merged;
+  std::vector<std::string> names;
+  for (const Fetch& fetch : fetches) names.push_back(fetch.effective);
+  // A failed fetch's substitute gets a best-effort schema so the merge
+  // still binds: the dictionary for local tables, the referenced columns
+  // otherwise.
+  return ResolveAndMerge(
+      *merge_stmt, std::move(branches), names,
+      [&](size_t i) {
+        std::vector<std::string> columns;
+        if (!fetches[i].local) {
+          return ReferencedColumns(stmt, fetches[i].effective);
+        }
+        for (const unity::TableBinding& b :
+             driver_.dictionary().Locate(fetches[i].table)) {
+          for (const unity::ColumnBinding& col : b.columns) {
+            columns.push_back(ToLower(col.logical));
+          }
+          break;
+        }
+        return columns;
+      },
+      cost, stats, cancel, tenant);
 }
 
 Status DataAccessService::CheckTenantGrants(
@@ -1574,6 +1491,16 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
   std::string result_key;
   uint64_t key_epoch = 0;
 
+  // A cached result replays the response shape recorded with it.
+  auto replay = [&](const cache::CachedResult& cached) {
+    st->distributed = cached.meta.distributed;
+    st->databases = cached.meta.databases;
+    st->tables = cached.meta.tables;
+    st->rows = cached.result->num_rows();
+    st->simulated_ms = cost.total_ms();
+    return Result<ResultSet>(ResultSet(*cached.result));
+  };
+
   // Whole-query result-cache probe: key = fingerprint + schema epoch +
   // the current content version of every referenced table. A hit replays
   // the recorded response shape and skips planning and execution
@@ -1594,12 +1521,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     }
     ResultCacheHitsCounter().Add(1);
     ++st->result_cache_hits;
-    st->distributed = hit.meta.distributed;
-    st->databases = hit.meta.databases;
-    st->tables = hit.meta.tables;
-    st->rows = hit.result->num_rows();
-    st->simulated_ms = cost.total_ms();
-    return Result<ResultSet>(ResultSet(*hit.result));
+    return replay(hit);
   };
 
   if (use_cache) {
@@ -1660,11 +1582,13 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     if (!driver_.dictionary().HasTable(ref->table)) missing.push_back(ref);
   }
 
-  Result<ResultSet> result =
-      missing.empty()
-          ? QueryLocal(*stmt, fingerprint, &cost, st, cancel, ctx.tenant)
-          : QueryWithRemote(*stmt, missing, &cost, st, forward_depth,
-                            forward_path, cancel, ctx.tenant);
+  auto execute = [&] {
+    return missing.empty()
+               ? QueryLocal(*stmt, fingerprint, &cost, st, cancel, ctx.tenant)
+               : QueryWithRemote(*stmt, missing, &cost, st, forward_depth,
+                                 forward_path, cancel, ctx.tenant);
+  };
+  Result<ResultSet> result = execute();
   // A plan invalidated by a concurrent schema change is rebuilt against
   // the fresh dictionary, a bounded number of times (a schema churning
   // faster than we can plan is a real failure, not a retry candidate).
@@ -1673,11 +1597,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
        ++replan) {
     ++st->replans;
     ReplansCounter().Add(1);
-    result = missing.empty()
-                 ? QueryLocal(*stmt, fingerprint, &cost, st, cancel,
-                              ctx.tenant)
-                 : QueryWithRemote(*stmt, missing, &cost, st, forward_depth,
-                                   forward_path, cancel, ctx.tenant);
+    result = execute();
   }
   if (!result.ok()) {
     // Stale-while-revalidate: with every replica down (or quarantined, or
@@ -1685,19 +1605,14 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     // known good result of this fingerprint — tagged stale=true so the
     // client can tell — instead of an error. Never spans a schema change.
     if (use_cache && config_.serve_stale_results &&
-        IsStaleServable(result.status().code())) {
+        IsTransient(result.status().code())) {
       if (cache::CachedResult stale =
               cache_.LastKnownGood(fingerprint, key_epoch)) {
         GRIDDB_LOG(Warn) << "serving stale cached result for query on '"
                          << config_.server_name
                          << "' after: " << result.status().ToString();
         st->stale = true;
-        st->distributed = stale.meta.distributed;
-        st->databases = stale.meta.databases;
-        st->tables = stale.meta.tables;
-        st->rows = stale.result->num_rows();
-        st->simulated_ms = cost.total_ms();
-        return finish(Result<ResultSet>(ResultSet(*stale.result)));
+        return finish(replay(stale));
       }
     }
     return finish(result.status());
@@ -1728,112 +1643,107 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
 
 // ---------- stats <-> RPC ----------
 
+namespace {
+
+// The sparse fields are the recovery, cache and overload counters: a
+// healthy, cache-cold query serializes exactly as it did before fault
+// tolerance existed, so the simulated transfer cost of a fault-free
+// response is unchanged (StatsFromRpc treats missing members as zero).
+constexpr bool kDense = false, kSparse = true;
+constexpr bool kOwn = false, kMerged = true;
+const QueryStatsField kQueryStatsFields[] = {
+    {"simulated_ms", &QueryStats::simulated_ms, kDense, kOwn},
+    {"distributed", &QueryStats::distributed, kDense, kOwn},
+    {"used_rls", &QueryStats::used_rls, kDense, kOwn},
+    {"servers_contacted", &QueryStats::servers_contacted, kDense, kOwn},
+    {"databases", &QueryStats::databases, kDense, kMerged},
+    {"tables", &QueryStats::tables, kDense, kOwn},
+    {"rows", &QueryStats::rows, kDense, kOwn},
+    {"pool_ral_subqueries", &QueryStats::pool_ral_subqueries, kDense, kMerged},
+    {"jdbc_subqueries", &QueryStats::jdbc_subqueries, kDense, kMerged},
+    {"retries", &QueryStats::retries, kSparse, kMerged},
+    {"failovers", &QueryStats::failovers, kSparse, kMerged},
+    {"subqueries_failed", &QueryStats::subqueries_failed, kSparse, kMerged},
+    {"breaker_skips", &QueryStats::breaker_skips, kSparse, kMerged},
+    {"replans", &QueryStats::replans, kSparse, kMerged},
+    {"subquery_errors", &QueryStats::subquery_errors, kSparse, kMerged},
+    {"plan_cache_hits", &QueryStats::plan_cache_hits, kSparse, kMerged},
+    {"result_cache_hits", &QueryStats::result_cache_hits, kSparse, kMerged},
+    {"subquery_cache_hits", &QueryStats::subquery_cache_hits, kSparse,
+     kMerged},
+    {"stale", &QueryStats::stale, kSparse, kMerged},
+    {"cancelled_subqueries", &QueryStats::cancelled_subqueries, kSparse,
+     kMerged},
+};
+
+// Wire form and merge rule per field type.
+rpc::XmlRpcValue ToWire(double v) { return v; }
+rpc::XmlRpcValue ToWire(bool v) { return v; }
+rpc::XmlRpcValue ToWire(size_t v) { return static_cast<int64_t>(v); }
+rpc::XmlRpcValue ToWire(const std::vector<std::string>& lines) {
+  return rpc::XmlRpcArray(lines.begin(), lines.end());
+}
+void FromWire(const rpc::XmlRpcValue& v, double* out) {
+  if (auto d = v.AsDouble(); d.ok()) *out = *d;
+}
+void FromWire(const rpc::XmlRpcValue& v, bool* out) {
+  if (auto b = v.AsBool(); b.ok()) *out = *b;
+}
+void FromWire(const rpc::XmlRpcValue& v, size_t* out) {
+  if (auto i = v.AsInt(); i.ok()) *out = static_cast<size_t>(*i);
+}
+void FromWire(const rpc::XmlRpcValue& v, std::vector<std::string>* out) {
+  auto lines = v.AsArray();
+  if (!lines.ok()) return;
+  for (const rpc::XmlRpcValue& line : **lines) {
+    if (auto text = line.AsString(); text.ok()) out->push_back(*text);
+  }
+}
+template <typename T>
+void MergeInto(T* into, const T& from) {
+  *into += from;
+}
+void MergeInto(bool* into, const bool& from) { *into = *into || from; }
+void MergeInto(std::vector<std::string>* into,
+               const std::vector<std::string>& from) {
+  into->insert(into->end(), from.begin(), from.end());
+}
+
+}  // namespace
+
+std::span<const QueryStatsField> QueryStatsFields() {
+  return kQueryStatsFields;
+}
+
+void MergeQueryStats(const QueryStats& from, QueryStats* into) {
+  for (const QueryStatsField& field : kQueryStatsFields) {
+    if (!field.merged) continue;
+    std::visit([&](auto m) { MergeInto(&(into->*m), from.*m); },
+               field.member);
+  }
+}
+
 rpc::XmlRpcValue StatsToRpc(const QueryStats& stats) {
   rpc::XmlRpcStruct out;
-  out["simulated_ms"] = stats.simulated_ms;
-  out["distributed"] = stats.distributed;
-  out["used_rls"] = stats.used_rls;
-  out["servers_contacted"] = static_cast<int64_t>(stats.servers_contacted);
-  out["databases"] = static_cast<int64_t>(stats.databases);
-  out["tables"] = static_cast<int64_t>(stats.tables);
-  out["rows"] = static_cast<int64_t>(stats.rows);
-  out["pool_ral_subqueries"] = static_cast<int64_t>(stats.pool_ral_subqueries);
-  out["jdbc_subqueries"] = static_cast<int64_t>(stats.jdbc_subqueries);
-  // Recovery counters are encoded sparsely: a healthy query serializes
-  // exactly as it did before fault tolerance existed, so the simulated
-  // transfer cost of a fault-free response is unchanged (StatsFromRpc
-  // treats missing members as zero).
-  if (stats.retries) out["retries"] = static_cast<int64_t>(stats.retries);
-  if (stats.failovers) {
-    out["failovers"] = static_cast<int64_t>(stats.failovers);
-  }
-  if (stats.subqueries_failed) {
-    out["subqueries_failed"] = static_cast<int64_t>(stats.subqueries_failed);
-  }
-  if (stats.breaker_skips) {
-    out["breaker_skips"] = static_cast<int64_t>(stats.breaker_skips);
-  }
-  if (stats.replans) out["replans"] = static_cast<int64_t>(stats.replans);
-  if (stats.cancelled_subqueries) {
-    out["cancelled_subqueries"] =
-        static_cast<int64_t>(stats.cancelled_subqueries);
-  }
-  // Cache counters follow the same sparse rule: a cache-cold (or
-  // cache-disabled) response serializes byte-identically to the seed.
-  if (stats.plan_cache_hits) {
-    out["plan_cache_hits"] = static_cast<int64_t>(stats.plan_cache_hits);
-  }
-  if (stats.result_cache_hits) {
-    out["result_cache_hits"] = static_cast<int64_t>(stats.result_cache_hits);
-  }
-  if (stats.subquery_cache_hits) {
-    out["subquery_cache_hits"] =
-        static_cast<int64_t>(stats.subquery_cache_hits);
-  }
-  if (stats.stale) out["stale"] = true;
-  if (!stats.subquery_errors.empty()) {
-    rpc::XmlRpcArray errors;
-    for (const std::string& line : stats.subquery_errors) {
-      errors.emplace_back(line);
-    }
-    out["subquery_errors"] = std::move(errors);
+  for (const QueryStatsField& field : kQueryStatsFields) {
+    std::visit(
+        [&](auto m) {
+          using T = std::decay_t<decltype(stats.*m)>;
+          if (!field.sparse || stats.*m != T{}) {
+            out[field.name] = ToWire(stats.*m);
+          }
+        },
+        field.member);
   }
   return out;
 }
 
 QueryStats StatsFromRpc(const rpc::XmlRpcValue& value) {
   QueryStats stats;
-  auto get_int = [&](const char* key, size_t* out) {
-    auto member = value.Member(key);
-    if (member.ok()) {
-      auto v = (*member)->AsInt();
-      if (v.ok()) *out = static_cast<size_t>(*v);
-    }
-  };
-  auto member = value.Member("simulated_ms");
-  if (member.ok()) {
-    auto v = (*member)->AsDouble();
-    if (v.ok()) stats.simulated_ms = *v;
-  }
-  auto distributed = value.Member("distributed");
-  if (distributed.ok()) {
-    auto v = (*distributed)->AsBool();
-    if (v.ok()) stats.distributed = *v;
-  }
-  auto used_rls = value.Member("used_rls");
-  if (used_rls.ok()) {
-    auto v = (*used_rls)->AsBool();
-    if (v.ok()) stats.used_rls = *v;
-  }
-  get_int("servers_contacted", &stats.servers_contacted);
-  get_int("databases", &stats.databases);
-  get_int("tables", &stats.tables);
-  get_int("rows", &stats.rows);
-  get_int("pool_ral_subqueries", &stats.pool_ral_subqueries);
-  get_int("jdbc_subqueries", &stats.jdbc_subqueries);
-  get_int("retries", &stats.retries);
-  get_int("failovers", &stats.failovers);
-  get_int("subqueries_failed", &stats.subqueries_failed);
-  get_int("breaker_skips", &stats.breaker_skips);
-  get_int("replans", &stats.replans);
-  get_int("cancelled_subqueries", &stats.cancelled_subqueries);
-  get_int("plan_cache_hits", &stats.plan_cache_hits);
-  get_int("result_cache_hits", &stats.result_cache_hits);
-  get_int("subquery_cache_hits", &stats.subquery_cache_hits);
-  auto stale = value.Member("stale");
-  if (stale.ok()) {
-    auto v = (*stale)->AsBool();
-    if (v.ok()) stats.stale = *v;
-  }
-  auto errors = value.Member("subquery_errors");
-  if (errors.ok()) {
-    auto list = (*errors)->AsArray();
-    if (list.ok()) {
-      for (const rpc::XmlRpcValue& line : **list) {
-        auto s = line.AsString();
-        if (s.ok()) stats.subquery_errors.push_back(*s);
-      }
-    }
+  for (const QueryStatsField& field : kQueryStatsFields) {
+    auto member = value.Member(field.name);
+    if (!member.ok()) continue;
+    std::visit([&](auto m) { FromWire(**member, &(stats.*m)); }, field.member);
   }
   return stats;
 }

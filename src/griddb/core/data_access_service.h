@@ -13,10 +13,13 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "griddb/cache/query_cache.h"
@@ -33,6 +36,12 @@
 
 namespace griddb::core {
 
+/// How many times a query may be forwarded between JClarens servers before
+/// the loop guard trips with kFailedPrecondition.
+inline constexpr int kMaxForwardDepth = 3;
+/// Plan-cache capacity (entries, LRU).
+inline constexpr size_t kPlanCacheEntries = 128;
+
 struct DataAccessConfig {
   std::string server_name = "jclarens";
   std::string host = "localhost";
@@ -44,7 +53,6 @@ struct DataAccessConfig {
   bool parallel_subqueries = true;
   bool projection_pushdown = true;
   bool predicate_pushdown = true;
-  size_t max_threads = 8;
 
   std::string db_user;  ///< Credentials presented to backend databases.
   std::string db_password;
@@ -52,9 +60,6 @@ struct DataAccessConfig {
   // Fault tolerance. The defaults preserve the seed's fail-fast behaviour
   // (and the paper-calibrated measurements): no retries, no RLS caching,
   // whole-query failure on any sub-query error.
-  /// How many times a query may be forwarded between JClarens servers
-  /// before the loop guard trips with kFailedPrecondition.
-  int max_forward_depth = 3;
   /// Retry/deadline behaviour of every outbound RPC (remote JClarens
   /// peers and the RLS).
   rpc::RetryPolicy retry_policy = rpc::RetryPolicy::None();
@@ -74,8 +79,6 @@ struct DataAccessConfig {
   // are all unchanged until an operator opts in.
   /// Enable the plan + result cache on this server's read path.
   bool query_cache = false;
-  /// Plan-cache capacity (entries, LRU).
-  size_t plan_cache_entries = 128;
   /// Result-cache byte budget (ResultSet wire size, LRU).
   size_t result_cache_bytes = 8u << 20;
   /// Stale-while-revalidate: when execution fails with a transient error
@@ -174,6 +177,29 @@ struct QueryStats {
   // Overload counters (sparse on the wire, same rule as above).
   size_t cancelled_subqueries = 0;  ///< Branches stopped by the cancel token.
 };
+
+/// One row of the QueryStats field table, the single list of its fields
+/// that the wire codec (StatsToRpc / StatsFromRpc) and the merges read.
+/// The member's type is the field's wire type: double, boolean, int
+/// (size_t) or an array of strings.
+struct QueryStatsField {
+  const char* name;  ///< XML-RPC struct member name.
+  std::variant<double QueryStats::*, bool QueryStats::*, size_t QueryStats::*,
+               std::vector<std::string> QueryStats::*>
+      member;
+  /// Omitted from the wire while zero / false / empty, so a response that
+  /// never used the feature serializes exactly as it did before it existed.
+  bool sparse;
+  /// Added into the caller's stats across a forward hop and across fan-out
+  /// branches: counts summed, flags OR-ed, error lines appended. A remote
+  /// fetch is a branch that carries its hop's stats, so the two merges
+  /// cover the same fields.
+  bool merged;
+};
+std::span<const QueryStatsField> QueryStatsFields();
+
+/// Adds every `merged` field of `from` into `*into`.
+void MergeQueryStats(const QueryStats& from, QueryStats* into);
 
 class DataAccessService {
  public:
@@ -300,6 +326,35 @@ class DataAccessService {
       const std::vector<const sql::TableRef*>& missing, net::Cost* cost,
       QueryStats* stats, int forward_depth, const std::string& forward_path,
       const CancelToken* cancel, const std::string& tenant);
+
+  /// One FanOut branch: a sub-query against one mart, or one table fetch
+  /// of a query that mixes local and remote tables.
+  struct Branch {
+    Status status;
+    net::Cost cost;
+    QueryStats stats;
+    storage::ResultSet partial;
+  };
+  /// Whether a failed branch may be replaced by an empty partial: a
+  /// cancelled branch follows partial_on_deadline, any other failure
+  /// partial_results, and a stale schema epoch never (the query replans).
+  bool Substitutes(const Status& status) const;
+  /// The status of a branch the bounded worker queue rejected.
+  Status WorkerQueueFull() const;
+  /// The step after every fan-out (paper §4.6 "integrate"). In branch
+  /// order it folds each branch's stats into `stats` and resolves its
+  /// status: a failure Substitutes refuses fails the query; a substituted
+  /// one becomes an empty partial with `substitute_columns(i)` plus a
+  /// "<name>: <status>" error line. It then merges the partials under
+  /// `merge_stmt` inside a x2 merge-memory lease and charges the
+  /// integrate-per-row cost. The caller has already charged branch costs.
+  Result<storage::ResultSet> ResolveAndMerge(
+      const sql::SelectStmt& merge_stmt, std::vector<Branch> branches,
+      const std::vector<std::string>& names,
+      const std::function<std::vector<std::string>(size_t)>&
+          substitute_columns,
+      net::Cost* cost, QueryStats* stats, const CancelToken* cancel,
+      const std::string& tenant);
 
   /// Plan-time grant check: Ok when no RBAC catalog is configured,
   /// otherwise CheckSelect against `tenant` with mart resolution through

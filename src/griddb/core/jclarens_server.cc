@@ -76,7 +76,7 @@ void JClarensServer::RegisterMethods() {
       [this](const XmlRpcArray& params,
              rpc::CallContext& ctx) -> Result<XmlRpcValue> {
         GRIDDB_ASSIGN_OR_RETURN(std::string sql, StringParam(params, 0));
-        if (ctx.forward_depth >= service_.config().max_forward_depth) {
+        if (ctx.forward_depth >= kMaxForwardDepth) {
           std::string path = ctx.forward_path.empty()
                                  ? service_.config().server_url
                                  : ctx.forward_path + " -> " +

@@ -603,6 +603,11 @@ Result<XmlRpcValue> DecodeResponse(std::string_view raw) {
       auto text = (*text_member)->AsString();
       if (text.ok()) message = *text;
     }
+    // EncodeFault wrote "<CODE>: <msg>" for human readers of the raw
+    // fault; the Status carries the code separately, so drop the prefix
+    // (Status::ToString adds it back once, and a relay re-encodes it once).
+    const std::string prefix = std::string(StatusCodeName(code)) + ": ";
+    if (message.rfind(prefix, 0) == 0) message.erase(0, prefix.size());
     if (code == StatusCode::kOk) code = StatusCode::kInternal;
     return Status(code, message);
   }

@@ -1,7 +1,5 @@
 #include "griddb/unity/driver.h"
 
-#include <future>
-
 #include "griddb/obs/metrics.h"
 #include "griddb/sql/parser.h"
 #include "griddb/sql/render.h"
@@ -36,7 +34,7 @@ UnityDriver::UnityDriver(const ral::DatabaseCatalog* catalog,
       network_(network),
       costs_(costs),
       options_(std::move(options)),
-      pool_(options_.max_threads) {}
+      pool_(kFanOutThreads) {}
 
 Status UnityDriver::AddDatabase(const UpperXSpecEntry& upper,
                                 const LowerXSpec& lower) {
@@ -96,43 +94,27 @@ Status UnityDriver::WarmConnection(const std::string& connection) {
   return Status::Ok();
 }
 
-Result<ResultSet> UnityDriver::ExecuteSubQuery(const SubQuery& sub,
-                                               net::Cost* cost) {
+Result<ResultSet> UnityDriver::ExecuteSubQuery(
+    const SubQuery& sub, net::Cost* cost, const std::string& rendered_sql) {
   SubqueriesCounter().Add(1);
   GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
                           ConnectionFor(sub.table.connection, cost));
-  const sql::Dialect& dialect = conn->database()->dialect();
-  return conn->ExecuteQuery(sub.RenderSql(dialect), cost);
-}
-
-Result<ResultSet> UnityDriver::ExecuteSubQueryRendered(
-    const SubQuery& sub, const std::string& rendered_sql, net::Cost* cost) {
-  SubqueriesCounter().Add(1);
-  GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
-                          ConnectionFor(sub.table.connection, cost));
-  return conn->ExecuteQuery(rendered_sql, cost);
+  if (!rendered_sql.empty()) return conn->ExecuteQuery(rendered_sql, cost);
+  return conn->ExecuteQuery(sub.RenderSql(conn->database()->dialect()), cost);
 }
 
 Result<ResultSet> UnityDriver::ExecuteDirect(const QueryPlan& plan,
-                                             net::Cost* cost) {
+                                             net::Cost* cost,
+                                             const std::string& rendered_sql) {
   if (!plan.single_database || !plan.direct_stmt) {
     return Internal("ExecuteDirect requires a single-database plan");
   }
   GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
                           ConnectionFor(plan.connection, cost));
-  const sql::Dialect& dialect = conn->database()->dialect();
-  return conn->ExecuteQuery(sql::RenderSelect(*plan.direct_stmt, dialect),
-                            cost);
-}
-
-Result<ResultSet> UnityDriver::ExecuteDirectRendered(
-    const QueryPlan& plan, const std::string& rendered_sql, net::Cost* cost) {
-  if (!plan.single_database || !plan.direct_stmt) {
-    return Internal("ExecuteDirect requires a single-database plan");
-  }
-  GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
-                          ConnectionFor(plan.connection, cost));
-  return conn->ExecuteQuery(rendered_sql, cost);
+  if (!rendered_sql.empty()) return conn->ExecuteQuery(rendered_sql, cost);
+  return conn->ExecuteQuery(
+      sql::RenderSelect(*plan.direct_stmt, conn->database()->dialect()),
+      cost);
 }
 
 Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
@@ -144,43 +126,39 @@ Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
 
   if (plan.single_database) return ExecuteDirect(plan, cost);
 
-  // Multi-database: execute sub-queries, then merge.
-  std::vector<std::pair<std::string, ResultSet>> partials(
-      plan.subqueries.size());
-  std::vector<net::Cost> branch_costs(plan.subqueries.size());
-
-  if (options_.enhanced && options_.parallel_subqueries &&
-      plan.subqueries.size() > 1) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(plan.subqueries.size());
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      futures.push_back(pool_.Submit([this, &plan, &partials, &branch_costs,
-                                      cancel, i]() -> Status {
+  // Multi-database: execute sub-queries (in parallel when enabled, else
+  // serially and fail-fast), then merge.
+  struct Branch {
+    Status status;
+    net::Cost cost;
+    ResultSet partial;
+  };
+  const bool parallel = options_.enhanced && options_.parallel_subqueries;
+  std::vector<Branch> branches = FanOut<Branch>(
+      pool_, plan.subqueries.size(), parallel ? plan.subqueries.size() : 1,
+      [&](size_t i, Branch& branch) -> Status {
         // Every branch shares the query's token: the first sibling to
         // observe expiry cancels the rest before they start work.
         if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
-        auto rs = ExecuteSubQuery(plan.subqueries[i], &branch_costs[i]);
-        if (!rs.ok()) return rs.status();
-        partials[i] = {plan.subqueries[i].effective_name, std::move(*rs)};
+        GRIDDB_ASSIGN_OR_RETURN(branch.partial,
+                                ExecuteSubQuery(plan.subqueries[i],
+                                                &branch.cost));
         return Status::Ok();
-      }));
-    }
-    Status first_error = Status::Ok();
-    for (auto& f : futures) {
-      Status s = f.get();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    GRIDDB_RETURN_IF_ERROR(first_error);
-    if (cost) cost->AddParallel(branch_costs);
-  } else {
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
-      GRIDDB_ASSIGN_OR_RETURN(ResultSet rs,
-                              ExecuteSubQuery(plan.subqueries[i],
-                                              &branch_costs[i]));
-      partials[i] = {plan.subqueries[i].effective_name, std::move(rs)};
-      if (cost) cost->AddSequential(branch_costs[i]);
-    }
+      },
+      [](const Status&) { return false; },
+      ResourceExhausted("sub-query rejected: driver pool full"));
+  std::vector<std::pair<std::string, ResultSet>> partials;
+  std::vector<net::Cost> branch_costs;
+  for (size_t i = 0; i < branches.size(); ++i) {
+    GRIDDB_RETURN_IF_ERROR(branches[i].status);
+    partials.emplace_back(plan.subqueries[i].effective_name,
+                          std::move(branches[i].partial));
+    branch_costs.push_back(branches[i].cost);
+  }
+  if (cost && parallel) {
+    cost->AddParallel(branch_costs);
+  } else if (cost) {
+    for (const net::Cost& branch : branch_costs) cost->AddSequential(branch);
   }
 
   GRIDDB_ASSIGN_OR_RETURN(ResultSet merged,

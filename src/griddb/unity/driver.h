@@ -30,7 +30,6 @@ struct UnityDriverOptions {
   bool parallel_subqueries = true;  ///< Only meaningful when enhanced.
   bool projection_pushdown = true;
   bool predicate_pushdown = true;
-  size_t max_threads = 8;
   std::string client_host = "localhost";  ///< Host the driver runs on.
   std::string user;                       ///< Credentials presented to DBs.
   std::string password;
@@ -71,21 +70,18 @@ class UnityDriver {
                                    const CancelToken* cancel = nullptr);
 
   /// Executes one planned sub-query over JDBC. Public so the data access
-  /// layer can route sub-queries itself (POOL-RAL vs JDBC).
-  Result<storage::ResultSet> ExecuteSubQuery(const SubQuery& sub,
-                                             net::Cost* cost);
-  /// Same, with the dialect rendering already done (plan-cache path: the
-  /// statement text is memoized per plan, so repeat executions and
-  /// failover re-attempts skip rendering).
-  Result<storage::ResultSet> ExecuteSubQueryRendered(
-      const SubQuery& sub, const std::string& rendered_sql, net::Cost* cost);
+  /// layer can route sub-queries itself (POOL-RAL vs JDBC). A non-empty
+  /// `rendered_sql` is the dialect rendering done already (plan-cache
+  /// path: the statement text is memoized per plan, so repeat executions
+  /// and failover re-attempts skip rendering).
+  Result<storage::ResultSet> ExecuteSubQuery(
+      const SubQuery& sub, net::Cost* cost,
+      const std::string& rendered_sql = "");
 
-  /// Executes a single-database plan directly.
-  Result<storage::ResultSet> ExecuteDirect(const QueryPlan& plan,
-                                           net::Cost* cost);
-  /// Same, with the statement text pre-rendered.
-  Result<storage::ResultSet> ExecuteDirectRendered(
-      const QueryPlan& plan, const std::string& rendered_sql, net::Cost* cost);
+  /// Executes a single-database plan directly (`rendered_sql` as above).
+  Result<storage::ResultSet> ExecuteDirect(
+      const QueryPlan& plan, net::Cost* cost,
+      const std::string& rendered_sql = "");
 
   /// Opens and caches the JDBC connection without charging simulated cost
   /// (registration-time connect: the server connects to a database once

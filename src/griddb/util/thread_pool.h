@@ -24,7 +24,13 @@
 #include <thread>
 #include <vector>
 
+#include "griddb/util/status.h"
+
 namespace griddb {
+
+/// Worker threads of every fan-out pool (the Unity driver's and the data
+/// access layer's).
+inline constexpr size_t kFanOutThreads = 8;
 
 struct ThreadPoolOptions {
   /// Queue overflow behaviour when `max_queue` is reached.
@@ -86,5 +92,45 @@ class ThreadPool {
   size_t rejected_ = 0;
   std::vector<std::thread> workers_;
 };
+
+/// The federation's one branch loop: runs branch bodies 0..n-1 (sub-queries
+/// or table fetches) and returns one `Branch` record per branch.
+/// `Branch` is the caller's per-branch record (its cost, stats, partial
+/// result) with a `Status status` member; `body(i, branch)` fills record i
+/// and returns the status FanOut stores there.
+///
+/// - width > 1 (and n > 1): every branch is submitted to `pool` and all are
+///   awaited. A task the bounded queue rejects never runs; its status is
+///   `shed`.
+/// - width <= 1: branches run in index order on the calling thread, and the
+///   first failure `substitutes(status)` refuses stops the run (fail-fast).
+///   Branches after it keep a default record with an Ok status.
+template <typename Branch, typename Body, typename Substitutes>
+std::vector<Branch> FanOut(ThreadPool& pool, size_t n, size_t width,
+                           Body&& body, Substitutes&& substitutes,
+                           const Status& shed) {
+  std::vector<Branch> branches(n);
+  if (width > 1 && n > 1) {
+    std::vector<std::future<Status>> futures;
+    futures.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(
+          pool.Submit([&body, &branches, i] { return body(i, branches[i]); }));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      try {
+        branches[i].status = futures[i].get();
+      } catch (const std::future_error&) {
+        branches[i].status = shed;  // rejected: the branch never ran
+      }
+    }
+    return branches;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    branches[i].status = body(i, branches[i]);
+    if (!branches[i].status.ok() && !substitutes(branches[i].status)) break;
+  }
+  return branches;
+}
 
 }  // namespace griddb

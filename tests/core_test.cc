@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <variant>
+
 #include "griddb/core/jclarens_server.h"
 #include "griddb/core/schema_tracker.h"
 #include "griddb/ntuple/histogram.h"
@@ -394,6 +397,190 @@ TEST_F(GridFixture, RegisteredDatabaseBookkeeping) {
   EXPECT_FALSE(server_a->service().UpperEntryFor("ghost").ok());
   auto tables = server_a->service().LocalTables();
   EXPECT_EQ(tables, (std::vector<std::string>{"events", "runs"}));
+}
+
+// ---------- QueryStats field table ----------
+
+// Wire bytes of StatsToRpc, wrapped by rpc::EncodeResponse, as the
+// hand-written codec emitted them before the field table replaced it.
+constexpr char kXmlHeader[] = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+constexpr char kDefaultStatsBody[] =
+    "<methodResponse><params><param><value><struct>"
+    "<member><name>databases</name>"
+    "<value><i4>0</i4></value></member>"
+    "<member><name>distributed</name>"
+    "<value><boolean>0</boolean></value></member>"
+    "<member><name>jdbc_subqueries</name>"
+    "<value><i4>0</i4></value></member>"
+    "<member><name>pool_ral_subqueries</name>"
+    "<value><i4>0</i4></value></member>"
+    "<member><name>rows</name>"
+    "<value><i4>0</i4></value></member>"
+    "<member><name>servers_contacted</name>"
+    "<value><i4>1</i4></value></member>"
+    "<member><name>simulated_ms</name>"
+    "<value><double>0</double></value></member>"
+    "<member><name>tables</name>"
+    "<value><i4>0</i4></value></member>"
+    "<member><name>used_rls</name>"
+    "<value><boolean>0</boolean></value></member>"
+    "</struct></value></param></params></methodResponse>";
+constexpr char kFullStatsBody[] =
+    "<methodResponse><params><param><value><struct>"
+    "<member><name>breaker_skips</name>"
+    "<value><i4>11</i4></value></member>"
+    "<member><name>cancelled_subqueries</name>"
+    "<value><i4>16</i4></value></member>"
+    "<member><name>databases</name>"
+    "<value><i4>3</i4></value></member>"
+    "<member><name>distributed</name>"
+    "<value><boolean>1</boolean></value></member>"
+    "<member><name>failovers</name>"
+    "<value><i4>9</i4></value></member>"
+    "<member><name>jdbc_subqueries</name>"
+    "<value><i4>7</i4></value></member>"
+    "<member><name>plan_cache_hits</name>"
+    "<value><i4>13</i4></value></member>"
+    "<member><name>pool_ral_subqueries</name>"
+    "<value><i4>6</i4></value></member>"
+    "<member><name>replans</name>"
+    "<value><i4>12</i4></value></member>"
+    "<member><name>result_cache_hits</name>"
+    "<value><i4>14</i4></value></member>"
+    "<member><name>retries</name>"
+    "<value><i4>8</i4></value></member>"
+    "<member><name>rows</name>"
+    "<value><i4>5</i4></value></member>"
+    "<member><name>servers_contacted</name>"
+    "<value><i4>2</i4></value></member>"
+    "<member><name>simulated_ms</name>"
+    "<value><double>12.5</double></value></member>"
+    "<member><name>stale</name>"
+    "<value><boolean>1</boolean></value></member>"
+    "<member><name>subqueries_failed</name>"
+    "<value><i4>10</i4></value></member>"
+    "<member><name>subquery_cache_hits</name>"
+    "<value><i4>15</i4></value></member>"
+    "<member><name>subquery_errors</name>"
+    "<value><array><data>"
+    "<value><string>a: X</string></value>"
+    "<value><string>b: Y</string></value>"
+    "</data></array></value></member>"
+    "<member><name>tables</name>"
+    "<value><i4>4</i4></value></member>"
+    "<member><name>used_rls</name>"
+    "<value><boolean>1</boolean></value></member>"
+    "</struct></value></param></params></methodResponse>";
+
+/// Every field of the table set to a value distinct from every other
+/// field's (flags true), offset by `base`.
+QueryStats DistinctStats(size_t base) {
+  QueryStats stats;
+  size_t next = base;
+  for (const QueryStatsField& field : QueryStatsFields()) {
+    std::visit(
+        [&](auto member) {
+          auto& value = stats.*member;
+          using T = std::decay_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+            value = {"line " + std::to_string(next),
+                     "line " + std::to_string(next + 1)};
+          } else if constexpr (std::is_same_v<T, bool>) {
+            value = true;
+          } else if constexpr (std::is_same_v<T, double>) {
+            value = static_cast<double>(next) + 0.5;
+          } else {
+            value = next;
+          }
+        },
+        field.member);
+    next += 2;
+  }
+  return stats;
+}
+
+TEST(QueryStatsTableTest, WireCodecKeepsEveryFieldAndTheParentBytes) {
+  // Every field set to a distinct non-zero value survives the round trip.
+  const QueryStats stats = DistinctStats(1);
+  const QueryStats round = StatsFromRpc(StatsToRpc(stats));
+  EXPECT_EQ(QueryStatsFields().size(), 20u);
+  size_t dense = 0;
+  for (const QueryStatsField& field : QueryStatsFields()) {
+    dense += !field.sparse;
+    std::visit(
+        [&](auto member) {
+          EXPECT_EQ(round.*member, stats.*member) << field.name;
+          EXPECT_NE(stats.*member, QueryStats{}.*member) << field.name;
+        },
+        field.member);
+  }
+
+  // A default QueryStats encodes exactly the always-present members.
+  rpc::XmlRpcValue wire = StatsToRpc(QueryStats{});
+  auto members = wire.AsStruct();
+  ASSERT_TRUE(members.ok());
+  EXPECT_EQ(dense, 9u);
+  EXPECT_EQ((*members)->size(), 9u);
+  EXPECT_EQ(rpc::EncodeResponse(wire),
+            std::string(kXmlHeader) + kDefaultStatsBody);
+
+  QueryStats full;
+  full.simulated_ms = 12.5;
+  full.distributed = true;
+  full.used_rls = true;
+  full.servers_contacted = 2;
+  full.databases = 3;
+  full.tables = 4;
+  full.rows = 5;
+  full.pool_ral_subqueries = 6;
+  full.jdbc_subqueries = 7;
+  full.retries = 8;
+  full.failovers = 9;
+  full.subqueries_failed = 10;
+  full.breaker_skips = 11;
+  full.replans = 12;
+  full.subquery_errors = {"a: X", "b: Y"};
+  full.plan_cache_hits = 13;
+  full.result_cache_hits = 14;
+  full.subquery_cache_hits = 15;
+  full.stale = true;
+  full.cancelled_subqueries = 16;
+  EXPECT_EQ(rpc::EncodeResponse(StatsToRpc(full)),
+            std::string(kXmlHeader) + kFullStatsBody);
+}
+
+TEST(QueryStatsTableTest, HopMergeSumsExactlyTheMergedFields) {
+  // RemoteQuery folds a forward hop's stats in with MergeQueryStats, and
+  // ResolveAndMerge folds each fan-out branch's the same way.
+  const QueryStats own = DistinctStats(100);
+  const QueryStats hop = DistinctStats(1000);
+  QueryStats merged = own;
+  MergeQueryStats(hop, &merged);
+  size_t merged_fields = 0;
+  for (const QueryStatsField& field : QueryStatsFields()) {
+    merged_fields += field.merged;
+    std::visit(
+        [&](auto member) {
+          const auto& out = merged.*member;
+          using T = std::decay_t<decltype(out)>;
+          if (!field.merged) {
+            EXPECT_EQ(out, own.*member) << field.name;
+          } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+            T lines = own.*member;
+            lines.insert(lines.end(), (hop.*member).begin(),
+                         (hop.*member).end());
+            EXPECT_EQ(out, lines) << field.name;
+          } else if constexpr (std::is_same_v<T, bool>) {
+            EXPECT_TRUE(out) << field.name;
+          } else {
+            EXPECT_EQ(out, own.*member + hop.*member) << field.name;
+          }
+        },
+        field.member);
+  }
+  // Everything but the per-server shape (simulated_ms, distributed,
+  // used_rls, servers_contacted, tables, rows).
+  EXPECT_EQ(merged_fields, 14u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "griddb/core/jclarens_server.h"
 #include "griddb/net/fault.h"
+#include "griddb/rpc/wire.h"
 
 namespace griddb::core {
 namespace {
@@ -257,34 +258,59 @@ TEST_F(FaultToleranceFixture, PartialResultsReportFailedLocalMart) {
   // One service, two marts on different hosts; the mart host for
   // events_b dies. Partial mode returns the healthy mart's rows
   // NULL-padded plus an error report naming exactly the failed sub-query.
-  DataAccessConfig config;
-  config.server_name = "marts";
-  config.host = "client";
-  config.partial_results = true;
-  DataAccessService service(config, &catalog, &transport);
-  ASSERT_TRUE(service.RegisterLiveDatabase("mysql://server-a/db_a", "").ok());
-  ASSERT_TRUE(service.RegisterLiveDatabase("mysql://server-b/db_b", "").ok());
+  // The fan-out runs at both widths (parallel_subqueries on and off), and
+  // both give the same rows, error report and counters.
+  std::vector<std::unique_ptr<DataAccessService>> services;
+  for (bool parallel : {true, false}) {
+    DataAccessConfig config;
+    config.server_name = "marts";
+    config.host = "client";
+    config.partial_results = true;
+    config.parallel_subqueries = parallel;
+    services.push_back(
+        std::make_unique<DataAccessService>(config, &catalog, &transport));
+    ASSERT_TRUE(
+        services.back()->RegisterLiveDatabase("mysql://server-a/db_a", "")
+            .ok());
+    ASSERT_TRUE(
+        services.back()->RegisterLiveDatabase("mysql://server-b/db_b", "")
+            .ok());
+  }
 
   auto plan = std::make_shared<net::FaultPlan>(7);
   plan->AddDownWindow("server-b", 0, kForever);
   network.InstallFaultPlan(plan);
 
-  QueryStats stats;
-  auto rs = service.Query(
-      "SELECT events_a.id, events_b.v FROM events_a LEFT JOIN events_b "
-      "ON events_b.id = events_a.id",
-      &stats);
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(rs->num_rows(), 3u);
-  const int v = rs->ColumnIndex("v");
-  ASSERT_GE(v, 0);
-  for (const storage::Row& row : rs->rows) {
-    EXPECT_TRUE(row[static_cast<size_t>(v)].is_null());
+  std::vector<storage::ResultSet> results;
+  std::vector<QueryStats> all_stats;
+  for (const auto& service : services) {
+    SCOPED_TRACE(service->config().parallel_subqueries ? "parallel"
+                                                       : "serial");
+    QueryStats stats;
+    auto rs = service->Query(
+        "SELECT events_a.id, events_b.v FROM events_a LEFT JOIN events_b "
+        "ON events_b.id = events_a.id",
+        &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->num_rows(), 3u);
+    const int v = rs->ColumnIndex("v");
+    ASSERT_GE(v, 0);
+    for (const storage::Row& row : rs->rows) {
+      EXPECT_TRUE(row[static_cast<size_t>(v)].is_null());
+    }
+    EXPECT_EQ(stats.subqueries_failed, 1u);
+    ASSERT_EQ(stats.subquery_errors.size(), 1u);
+    EXPECT_NE(stats.subquery_errors[0].find("events_b"), std::string::npos);
+    EXPECT_EQ(stats.subquery_errors[0].find("events_a"), std::string::npos);
+    results.push_back(std::move(*rs));
+    // Serial branches sum on the virtual clock, parallel ones overlap.
+    stats.simulated_ms = 0;
+    all_stats.push_back(std::move(stats));
   }
-  EXPECT_EQ(stats.subqueries_failed, 1u);
-  ASSERT_EQ(stats.subquery_errors.size(), 1u);
-  EXPECT_NE(stats.subquery_errors[0].find("events_b"), std::string::npos);
-  EXPECT_EQ(stats.subquery_errors[0].find("events_a"), std::string::npos);
+  EXPECT_EQ(results[0].columns, results[1].columns);
+  EXPECT_EQ(results[0].rows, results[1].rows);
+  EXPECT_EQ(rpc::EncodeResponse(StatsToRpc(all_stats[0])),
+            rpc::EncodeResponse(StatsToRpc(all_stats[1])));
 }
 
 TEST_F(FaultToleranceFixture, PartialResultsReportFailedRemoteFetch) {
@@ -310,6 +336,44 @@ TEST_F(FaultToleranceFixture, PartialResultsReportFailedRemoteFetch) {
   EXPECT_EQ(stats.subqueries_failed, 1u);
   ASSERT_EQ(stats.subquery_errors.size(), 1u);
   EXPECT_NE(stats.subquery_errors[0].find("events_b"), std::string::npos);
+}
+
+TEST_F(FaultToleranceFixture, RelayedFaultCarriesOneCodePrefix) {
+  // The RLS maps GHOST to server-b, which does not host it: server-b
+  // raises kNotFound, and server-a relays that fault to the client as its
+  // own. The code prefix appears once in the client's status, over both
+  // codecs, and once in a partial-results error line naming the fetch.
+  rls::RlsClient publisher(&transport, "client", kRlsUrl);
+  ASSERT_TRUE(publisher.Publish("ghost", kServerBUrl).ok());
+  for (uint32_t caps : {0u, rpc::wire::kAllCaps}) {
+    SCOPED_TRACE(caps == 0 ? "xmlrpc" : "binary");
+    rpc::RpcClient client(&transport, "client", kServerAUrl);
+    client.set_wire_preference(caps);
+    net::Cost cost;
+    rpc::XmlRpcArray params;
+    params.emplace_back(std::string("SELECT id FROM ghost"));
+    auto relayed = client.Call("dataaccess.query", params, &cost);
+    ASSERT_FALSE(relayed.ok());
+    EXPECT_EQ(relayed.status().code(), StatusCode::kNotFound);
+    const std::string text = relayed.status().ToString();
+    EXPECT_EQ(text.rfind("NOT_FOUND: table 'ghost'", 0), 0u) << text;
+    EXPECT_EQ(text.find("NOT_FOUND", 1), std::string::npos) << text;
+  }
+
+  DataAccessConfig config = CoordinatorConfig();
+  config.partial_results = true;
+  DataAccessService coordinator(config, &catalog, &transport);
+  QueryStats stats;
+  auto rs = coordinator.Query(
+      "SELECT events_a.id, ghost.id AS gid FROM events_a "
+      "LEFT JOIN ghost ON ghost.id = events_a.id",
+      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->num_rows(), 3u);
+  ASSERT_EQ(stats.subquery_errors.size(), 1u);
+  const std::string& line = stats.subquery_errors[0];
+  EXPECT_EQ(line.rfind("ghost: NOT_FOUND: table 'ghost'", 0), 0u) << line;
+  EXPECT_EQ(line.find("NOT_FOUND", 8), std::string::npos) << line;
 }
 
 TEST_F(FaultToleranceFixture, LostMessagesFailWithinBoundedVirtualTime) {

@@ -638,6 +638,7 @@ TEST_F(OverloadFixture, DeadlineExpiryMidForwardCancelsSiblingFetch) {
   // deadline at its pre-flight checkpoint and is cancelled without ever
   // contacting server-b — partial_results alone would have substituted
   // the timeout, so the kDeadlineExceeded proves the token cancelled it.
+  // Both parallel_subqueries settings give the same outcome and counters.
   auto plan = std::make_shared<net::FaultPlan>(11);
   net::LinkFaultSpec slow;
   slow.delay_probability = 1.0;
@@ -645,23 +646,31 @@ TEST_F(OverloadFixture, DeadlineExpiryMidForwardCancelsSiblingFetch) {
   plan->SetLinkFaults("client", "server-a", slow);
   network.InstallFaultPlan(plan);
 
-  DataAccessConfig config = CoordinatorConfig();
-  config.partial_results = true;
-  config.default_deadline_ms = 700.0;
-  DataAccessService coordinator(config, &catalog, &transport);
+  std::vector<QueryStats> all_stats;
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    DataAccessConfig config = CoordinatorConfig();
+    config.partial_results = true;
+    config.parallel_subqueries = parallel;
+    config.default_deadline_ms = 700.0;
+    DataAccessService coordinator(config, &catalog, &transport);
 
-  const double t0 = network.NowMs();
-  QueryStats stats;
-  auto rs = coordinator.Query(
-      "SELECT events_a.id, events_b.id FROM events_a, events_b", &stats);
-  ASSERT_FALSE(rs.ok());
-  EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
-  const double elapsed = network.NowMs() - t0;
-  // The timed-out attempt is charged exactly to the deadline; the
-  // cancelled sibling spends nothing.
-  EXPECT_GE(elapsed, 400.0);
-  EXPECT_LE(elapsed, config.default_deadline_ms + 1.0);
+    const double t0 = network.NowMs();
+    QueryStats stats;
+    auto rs = coordinator.Query(
+        "SELECT events_a.id, events_b.id FROM events_a, events_b", &stats);
+    ASSERT_FALSE(rs.ok());
+    EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
+    const double elapsed = network.NowMs() - t0;
+    // The timed-out attempt is charged exactly to the deadline; the
+    // cancelled sibling spends nothing.
+    EXPECT_GE(elapsed, 400.0);
+    EXPECT_LE(elapsed, config.default_deadline_ms + 1.0);
+    all_stats.push_back(std::move(stats));
+  }
   EXPECT_GE(network.fault_counters().delays, 1u);
+  EXPECT_EQ(rpc::EncodeResponse(StatsToRpc(all_stats[0])),
+            rpc::EncodeResponse(StatsToRpc(all_stats[1])));
 }
 
 TEST_F(OverloadFixture, PartialOnDeadlineReturnsTruncatedResultUncached) {
@@ -672,21 +681,34 @@ TEST_F(OverloadFixture, PartialOnDeadlineReturnsTruncatedResultUncached) {
   plan->SetLinkFaults("client", "server-a", slow);
   network.InstallFaultPlan(plan);
 
-  DataAccessConfig config = CoordinatorConfig();
-  config.partial_results = true;
-  config.partial_on_deadline = true;  // opt in to truncated responses
-  config.query_cache = true;
-  config.default_deadline_ms = 700.0;
-  DataAccessService coordinator(config, &catalog, &transport);
+  std::vector<storage::ResultSet> results;
+  std::vector<QueryStats> all_stats;
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    DataAccessConfig config = CoordinatorConfig();
+    config.partial_results = true;
+    config.partial_on_deadline = true;  // opt in to truncated responses
+    config.parallel_subqueries = parallel;
+    config.query_cache = true;
+    config.default_deadline_ms = 700.0;
+    DataAccessService coordinator(config, &catalog, &transport);
 
-  QueryStats stats;
-  auto rs = coordinator.Query(
-      "SELECT events_a.id, events_b.id FROM events_a, events_b", &stats);
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_GE(stats.subqueries_failed, 1u);
-  EXPECT_FALSE(stats.subquery_errors.empty());
-  // A deadline-truncated execution must never seed the result cache.
-  EXPECT_EQ(coordinator.query_cache().result_entries(), 0u);
+    QueryStats stats;
+    auto rs = coordinator.Query(
+        "SELECT events_a.id, events_b.id FROM events_a, events_b", &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_GE(stats.subqueries_failed, 1u);
+    EXPECT_FALSE(stats.subquery_errors.empty());
+    // A deadline-truncated execution must never seed the result cache.
+    EXPECT_EQ(coordinator.query_cache().result_entries(), 0u);
+    results.push_back(std::move(*rs));
+    stats.simulated_ms = 0;  // the one figure the width may change
+    all_stats.push_back(std::move(stats));
+  }
+  EXPECT_EQ(results[0].columns, results[1].columns);
+  EXPECT_EQ(results[0].rows, results[1].rows);
+  EXPECT_EQ(rpc::EncodeResponse(StatsToRpc(all_stats[0])),
+            rpc::EncodeResponse(StatsToRpc(all_stats[1])));
 }
 
 TEST_F(OverloadFixture, AdmissionShedsAtServiceEntry) {

@@ -96,18 +96,22 @@ cmake --build /tmp/griddb_asan -j"$(nproc)" --target \
   stage_property_test query_cache_test overload_test \
   tenant_isolation_test batch_service_test \
   vectorized_parity_test wire_codec_test \
-  fault_fs_test chaos_test >/dev/null
+  fault_fs_test chaos_test \
+  storage_test engine_test sql_property_test >/dev/null
 
 echo "== asan: run =="
 # chaos_test is the bounded chaos seed sweep (tests/chaos_test.cc): the
 # same whole-system harness as bench_ext_chaos on a handful of seeds, so
 # the crash/recover/quarantine paths run under the sanitizer in bounded
 # time. A failing seed appears in the gtest SCOPED_TRACE output.
+# storage_test, engine_test and sql_property_test cover the executor's
+# borrowed table columns, whose lifetime ends with the Database lock.
 for t in fault_tolerance_test etl_resume_test integrity_test \
          stage_property_test query_cache_test overload_test \
          tenant_isolation_test batch_service_test \
          vectorized_parity_test wire_codec_test \
-         fault_fs_test chaos_test; do
+         fault_fs_test chaos_test \
+         storage_test engine_test sql_property_test; do
   echo "-- $t"
   /tmp/griddb_asan/tests/"$t" >/dev/null
 done

@@ -32,40 +32,29 @@ class Database::DatabaseTableSource : public TableSource {
  public:
   explicit DatabaseTableSource(const Database& db) : db_(db) {}
 
-  Result<ResultSet> GetTable(const std::string& name) const override {
+  // Base tables lend their stored columns in place (the caller holds the
+  // database lock for the whole ExecuteSelect call, so they stay valid);
+  // views and catalog tables are materialized for the call.
+  Result<BorrowedTable> Borrow(const std::string& name) const override {
     std::string key = ToLower(name);
     auto table_it = db_.tables_.find(key);
     if (table_it != db_.tables_.end()) {
       const storage::Table& table = *table_it->second;
-      ResultSet rs;
+      BorrowedTable borrowed;
       for (const storage::ColumnDef& col : table.schema().columns()) {
-        rs.columns.push_back(col.name);
+        borrowed.columns.push_back(col.name);
       }
-      rs.rows = table.rows();
-      return rs;
+      borrowed.num_rows = table.num_rows();
+      borrowed.stored = &table.columns();
+      return borrowed;
     }
     auto view_it = db_.views_.find(key);
     if (view_it != db_.views_.end()) {
-      return db_.RunSelect(*view_it->second);
+      GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, db_.RunSelect(*view_it->second));
+      return BorrowedTable::Materialized(std::move(rs));
     }
     GRIDDB_ASSIGN_OR_RETURN(ResultSet catalog, db_.CatalogTable(ToUpper(name)));
-    return catalog;
-  }
-
-  // Base tables lend their rows in place (the caller holds the database
-  // lock for the whole ExecuteSelect call, so the pointer stays valid);
-  // views and catalog tables must be materialized via GetTable.
-  std::optional<TableView> BorrowTable(const std::string& name) const override {
-    auto table_it = db_.tables_.find(ToLower(name));
-    if (table_it == db_.tables_.end()) return std::nullopt;
-    const storage::Table& table = *table_it->second;
-    TableView view;
-    view.columns.reserve(table.schema().columns().size());
-    for (const storage::ColumnDef& col : table.schema().columns()) {
-      view.columns.push_back(col.name);
-    }
-    view.rows = &table.rows();
-    return view;
+    return BorrowedTable::Materialized(std::move(catalog));
   }
 
  private:
@@ -149,14 +138,16 @@ Result<ResultSet> Database::CatalogTable(const std::string& upper_name) const {
                   name_ + "'");
 }
 
-Result<ResultSet> Database::RunSelect(const sql::SelectStmt& stmt) const {
+Result<ResultSet> Database::RunSelect(const sql::SelectStmt& stmt,
+                                      const ExecOptions& opts) const {
   DatabaseTableSource source(*this);
-  return griddb::engine::ExecuteSelect(stmt, source);
+  return griddb::engine::ExecuteSelect(stmt, source, opts);
 }
 
-Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& stmt) const {
+Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& stmt,
+                                          const ExecOptions& opts) const {
   std::shared_lock lock(mu_);
-  return RunSelect(stmt);
+  return RunSelect(stmt, opts);
 }
 
 Result<ResultSet> Database::Execute(std::string_view sql_text) {
@@ -322,7 +313,7 @@ Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
       set_positions.push_back(*idx);
     }
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const Row& current = table.rows()[r];
+      const Row current = table.GetRow(r);
       if (upd.where) {
         GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*upd.where, scope, current));
         if (v.is_null()) continue;
@@ -359,7 +350,7 @@ Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
     std::vector<size_t> doomed;
     for (size_t r = 0; r < table.num_rows(); ++r) {
       if (d.where) {
-        GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*d.where, scope, table.rows()[r]));
+        GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*d.where, scope, table.GetRow(r)));
         if (v.is_null()) continue;
         GRIDDB_ASSIGN_OR_RETURN(bool keep, v.AsBool());
         if (!keep) continue;
@@ -524,7 +515,9 @@ Result<storage::TableDigest> Database::ContentDigest(
   if (it == tables_.end()) {
     return NotFound("table '" + table + "' does not exist");
   }
-  return storage::DigestRows(it->second->rows());
+  std::vector<Row> rows;
+  storage::MaterializeRows(it->second->columns(), it->second->num_rows(), rows);
+  return storage::DigestRows(rows);
 }
 
 }  // namespace griddb::engine

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "griddb/engine/select_executor.h"
 #include "griddb/sql/dialect.h"
 #include "griddb/sql/parser.h"
 #include "griddb/storage/digest.h"
@@ -42,7 +43,8 @@ class Database {
 
   /// Executes an already-parsed SELECT (bypasses dialect parsing; used by
   /// trusted internal callers such as view materialization).
-  Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt) const;
+  Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
+                                           const ExecOptions& opts = {}) const;
 
   // -- direct (non-SQL) administration used by loaders and tooling --
 
@@ -71,7 +73,8 @@ class Database {
 
   Result<storage::ResultSet> ExecuteLocked(const sql::Statement& stmt,
                                            ExecStats* stats);
-  Result<storage::ResultSet> RunSelect(const sql::SelectStmt& stmt) const;
+  Result<storage::ResultSet> RunSelect(const sql::SelectStmt& stmt,
+                                       const ExecOptions& opts = {}) const;
   Result<storage::ResultSet> CatalogTable(const std::string& upper_name) const;
 
   std::string name_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "griddb/engine/vector_eval.h"
 #include "griddb/util/strings.h"
 
 namespace griddb::engine {
@@ -334,22 +335,28 @@ Result<Value> EvalScalarFunction(const sql::Expr& expr,
   return Unsupported("unknown function " + name);
 }
 
-/// Reads the cells of one batch row through the same interface as
+/// Reads the cells of one chunk row through the same interface as
 /// storage::Row, so EvalImpl below compiles identically for both.
-class BatchRowView {
+class ChunkRowView {
  public:
-  BatchRowView(const RowBatch& batch, size_t row) : batch_(batch), row_(row) {}
-  size_t size() const { return batch_.cols.size(); }
-  Value operator[](size_t i) const { return batch_.cols[i].Get(row_); }
+  ChunkRowView(const Chunk& chunk, size_t row) : chunk_(chunk), row_(row) {}
+  size_t size() const { return chunk_.cols.size(); }
+  bool Has(size_t i) const { return chunk_.cols[i] != nullptr; }
+  Value operator[](size_t i) const { return chunk_.cols[i]->Get(row_); }
 
  private:
-  const RowBatch& batch_;
+  const Chunk& chunk_;
   size_t row_;
 };
 
+bool HasCell(const Row& row, size_t i) { return i < row.size(); }
+bool HasCell(const ChunkRowView& row, size_t i) {
+  return i < row.size() && row.Has(i);
+}
+
 /// The one scalar interpreter, templated over the row representation.
 /// RowT provides size() and operator[](size_t) yielding a Value (by value
-/// or const reference).
+/// or const reference), plus a HasCell overload.
 template <typename RowT>
 Result<Value> EvalImpl(const sql::Expr& expr, const Scope& scope,
                        const RowT& row) {
@@ -358,7 +365,7 @@ Result<Value> EvalImpl(const sql::Expr& expr, const Scope& scope,
       return expr.literal;
     case sql::Expr::Kind::kColumn: {
       GRIDDB_ASSIGN_OR_RETURN(size_t idx, scope.Resolve(expr.column_ref));
-      if (idx >= row.size()) return Internal("row narrower than scope");
+      if (!HasCell(row, idx)) return Internal("row narrower than scope");
       return row[idx];
     }
     case sql::Expr::Kind::kStar:
@@ -472,8 +479,8 @@ Result<Value> Eval(const sql::Expr& expr, const Scope& scope,
 }
 
 Result<Value> Eval(const sql::Expr& expr, const Scope& scope,
-                   const RowBatch& batch, size_t row) {
-  return EvalImpl(expr, scope, BatchRowView(batch, row));
+                   const Chunk& chunk, size_t row) {
+  return EvalImpl(expr, scope, ChunkRowView(chunk, row));
 }
 
 Result<Value> CombineScalarNode(const sql::Expr& expr,
@@ -512,6 +519,8 @@ Status CheckAggregateShape(const sql::Expr& agg, bool& count_star) {
   }
   return Status::Ok();
 }
+
+Status IntegerOverflow() { return OutOfRange("integer overflow"); }
 
 Result<Value> AggregateValues(const sql::Expr& agg, std::vector<Value> values) {
   const std::string& name = agg.function_name;
@@ -554,7 +563,11 @@ Result<Value> AggregateValues(const sql::Expr& agg, std::vector<Value> values) {
   if (name == "SUM") {
     if (all_int) {
       int64_t total = 0;
-      for (const Value& v : values) total += v.AsInt64Strict();
+      for (const Value& v : values) {
+        if (__builtin_add_overflow(total, v.AsInt64Strict(), &total)) {
+          return IntegerOverflow();
+        }
+      }
       return Value(total);
     }
     double total = 0;

@@ -7,7 +7,7 @@
 //
 // The same scalar kernels back both executors (DESIGN.md §15): the
 // row-at-a-time reference path calls Eval over storage::Row, and the
-// vectorized path calls the RowBatch overload for its elementwise
+// vectorized path calls the Chunk overload for its elementwise
 // fallback plus CombineScalarNode / AggregateValues when it combines
 // per-group results. Because the kernels are shared, the two executors
 // cannot diverge on scalar semantics.
@@ -16,13 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "griddb/engine/column_vector.h"
 #include "griddb/sql/ast.h"
 #include "griddb/storage/result_set.h"
 #include "griddb/storage/value.h"
 #include "griddb/util/status.h"
 
 namespace griddb::engine {
+
+struct Chunk;  // vector_eval.h
 
 /// Column name table for a working row: each entry is (qualifier, column).
 /// Qualifier is the table alias (or name) the column came from; several
@@ -63,12 +64,12 @@ class Scope {
 Result<storage::Value> Eval(const sql::Expr& expr, const Scope& scope,
                             const storage::Row& row);
 
-/// Same semantics, reading the cells of row `row` from a columnar batch.
+/// Same semantics, reading the cells of row `row` from a columnar chunk.
 /// This is the vectorized executor's elementwise fallback: it shares every
 /// code path with the Row overload, so laziness (CASE stops at the first
 /// taken WHEN, IN short-circuits) and error behaviour match exactly.
 Result<storage::Value> Eval(const sql::Expr& expr, const Scope& scope,
-                            const RowBatch& batch, size_t row);
+                            const Chunk& chunk, size_t row);
 
 /// Combines an interior expression node from already-evaluated child
 /// values, exactly as grouped evaluation does: the children are folded to
@@ -80,6 +81,10 @@ Result<storage::Value> CombineScalarNode(const sql::Expr& expr,
 /// Validates an aggregate call's shape (argument count); sets `count_star`
 /// for COUNT(*). Performed before any argument evaluation.
 Status CheckAggregateShape(const sql::Expr& agg, bool& count_star);
+
+/// The error SUM returns when an int64 total overflows (SQLite's
+/// "integer overflow"); both executors' SUM paths return exactly this.
+Status IntegerOverflow();
 
 /// Finalizes an aggregate over the non-NULL argument values of one group,
 /// in row order. DISTINCT dedupe, SUM's integer preservation and AVG's

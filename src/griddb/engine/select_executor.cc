@@ -23,18 +23,26 @@ void MapTableSource::Add(std::string name, ResultSet rs) {
   tables_.emplace_back(std::move(name), std::move(rs));
 }
 
-Result<ResultSet> MapTableSource::GetTable(const std::string& name) const {
+Result<BorrowedTable> MapTableSource::Borrow(const std::string& name) const {
   for (const auto& [table_name, rs] : tables_) {
-    if (EqualsIgnoreCase(table_name, name)) return rs;
+    if (!EqualsIgnoreCase(table_name, name)) continue;
+    BorrowedTable table;
+    table.columns = rs.columns;
+    table.num_rows = rs.rows.size();
+    table.rows = &rs.rows;
+    return table;
   }
   return NotFound("table '" + name + "' not found");
 }
 
-const ResultSet* MapTableSource::FindTable(const std::string& name) const {
-  for (const auto& [table_name, rs] : tables_) {
-    if (EqualsIgnoreCase(table_name, name)) return &rs;
-  }
-  return nullptr;
+BorrowedTable BorrowedTable::Materialized(ResultSet rs) {
+  auto owned = std::make_unique<const ResultSet>(std::move(rs));
+  BorrowedTable table;
+  table.columns = owned->columns;
+  table.num_rows = owned->rows.size();
+  table.rows = &owned->rows;
+  table.owned = std::move(owned);
+  return table;
 }
 
 namespace internal {
@@ -245,15 +253,21 @@ Row ConcatRows(const Row& a, const Row& b) {
   return out;
 }
 
-/// Joins `incoming` (a table's result set under `qualifier`) into `ws`.
+/// A table as the row path reads it: column names plus rows.
+struct RowTable {
+  const std::vector<std::string>* columns;
+  const std::vector<Row>* rows;
+};
+
+/// Joins `incoming` (a table's rows under `qualifier`) into `ws`.
 Status JoinInto(WorkingSet& ws, const std::string& qualifier,
-                const ResultSet& incoming, sql::JoinType type,
+                const RowTable& incoming, sql::JoinType type,
                 const sql::Expr* on, BatchCancelCheck& cancel) {
   Scope incoming_scope;
-  incoming_scope.AddResultSet(qualifier, incoming);
+  incoming_scope.AddColumns(qualifier, *incoming.columns);
 
   Scope combined = ws.scope;
-  combined.AddResultSet(qualifier, incoming);
+  combined.AddColumns(qualifier, *incoming.columns);
 
   std::vector<Row> joined;
 
@@ -264,12 +278,12 @@ Status JoinInto(WorkingSet& ws, const std::string& qualifier,
   if (type != sql::JoinType::kCross) {
     if (auto key = internal::DetectEquiJoin(on, ws.scope, incoming_scope)) {
       std::unordered_map<Value, std::vector<size_t>, storage::ValueHasher> hash;
-      hash.reserve(incoming.rows.size());
-      for (size_t r = 0; r < incoming.rows.size(); ++r) {
-        const Value& v = incoming.rows[r][key->new_index];
+      hash.reserve(incoming.rows->size());
+      for (size_t r = 0; r < incoming.rows->size(); ++r) {
+        const Value& v = (*incoming.rows)[r][key->new_index];
         if (!v.is_null()) hash[v].push_back(r);
       }
-      size_t incoming_width = incoming.columns.size();
+      size_t incoming_width = incoming.columns->size();
       joined.reserve(ws.rows.size());  // >= one output row per match/pad
       for (Row& left : ws.rows) {
         GRIDDB_RETURN_IF_ERROR(cancel.Check());
@@ -280,7 +294,7 @@ Status JoinInto(WorkingSet& ws, const std::string& qualifier,
           if (it != hash.end()) {
             const std::vector<size_t>& matches = it->second;
             for (size_t m = 0; m < matches.size(); ++m) {
-              const Row& right = incoming.rows[matches[m]];
+              const Row& right = (*incoming.rows)[matches[m]];
               if (m + 1 == matches.size()) {
                 // Last use of this probe row: its values move, only the
                 // build side is copied.
@@ -307,11 +321,11 @@ Status JoinInto(WorkingSet& ws, const std::string& qualifier,
   }
 
   // General nested-loop join.
-  size_t incoming_width = incoming.columns.size();
+  size_t incoming_width = incoming.columns->size();
   joined.reserve(ws.rows.size());
   for (Row& left : ws.rows) {
     bool matched = false;
-    for (const Row& right : incoming.rows) {
+    for (const Row& right : *incoming.rows) {
       GRIDDB_RETURN_IF_ERROR(cancel.Check());
       Row candidate = ConcatRows(left, right);
       if (on) {
@@ -343,42 +357,36 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
 
   GRIDDB_RETURN_IF_ERROR(internal::CheckDuplicateTables(stmt));
 
-  // Tables are borrowed in place when the source holds them materialized
-  // (the federated merge path), skipping a whole-ResultSet copy per
-  // table; on-demand sources fall back to GetTable, with the returned
-  // copy kept alive in `owned` (a list: growth never invalidates the
-  // borrowed pointers).
-  std::list<ResultSet> owned;
-  auto table_for = [&](const std::string& name) -> Result<const ResultSet*> {
-    if (const ResultSet* borrowed = source.FindTable(name)) return borrowed;
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, source.GetTable(name));
-    owned.push_back(std::move(rs));
-    return &owned.back();
+  // Row inputs are read in place; stored columns are boxed into rows
+  // (lists: growth never moves what earlier tables point at).
+  std::list<BorrowedTable> leases;
+  std::list<std::vector<Row>> boxed;
+  auto table_for = [&](const std::string& name) -> Result<RowTable> {
+    GRIDDB_ASSIGN_OR_RETURN(BorrowedTable table, source.Borrow(name));
+    leases.push_back(std::move(table));
+    const BorrowedTable& lease = leases.back();
+    if (lease.rows) return RowTable{&lease.columns, lease.rows};
+    std::vector<Row>& rows = boxed.emplace_back();
+    storage::MaterializeRows(*lease.stored, lease.num_rows, rows);
+    return RowTable{&lease.columns, &rows};
   };
 
   // FROM list: first table seeds the working set, remaining are cross joins.
   WorkingSet ws;
   {
-    GRIDDB_ASSIGN_OR_RETURN(const ResultSet* first,
-                            table_for(stmt.from[0].table));
-    ws.scope.AddResultSet(stmt.from[0].EffectiveName(), *first);
-    if (!owned.empty() && first == &owned.back()) {
-      ws.rows = std::move(owned.back().rows);  // our copy: move, don't copy
-    } else {
-      ws.rows = first->rows;  // borrowed: the working set mutates rows
-    }
+    GRIDDB_ASSIGN_OR_RETURN(RowTable first, table_for(stmt.from[0].table));
+    ws.scope.AddColumns(stmt.from[0].EffectiveName(), *first.columns);
+    ws.rows = *first.rows;  // the working set mutates rows
   }
   for (size_t i = 1; i < stmt.from.size(); ++i) {
-    GRIDDB_ASSIGN_OR_RETURN(const ResultSet* table,
-                            table_for(stmt.from[i].table));
-    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, stmt.from[i].EffectiveName(), *table,
+    GRIDDB_ASSIGN_OR_RETURN(RowTable table, table_for(stmt.from[i].table));
+    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, stmt.from[i].EffectiveName(), table,
                                     sql::JoinType::kCross, nullptr,
                                     cancel_check));
   }
   for (const sql::Join& join : stmt.joins) {
-    GRIDDB_ASSIGN_OR_RETURN(const ResultSet* table,
-                            table_for(join.table.table));
-    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, join.table.EffectiveName(), *table,
+    GRIDDB_ASSIGN_OR_RETURN(RowTable table, table_for(join.table.table));
+    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, join.table.EffectiveName(), table,
                                     join.type, join.on.get(), cancel_check));
   }
 

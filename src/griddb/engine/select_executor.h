@@ -6,58 +6,51 @@
 // warehouse view materialization.
 //
 // Two implementations share one contract (DESIGN.md §15): the default
-// vectorized executor processes columnar batches of ExecOptions::
-// batch_rows rows (typed ColumnVector payloads, hash join and hash
-// aggregation by gather, top-K ORDER BY under LIMIT), while
-// ExecuteSelectReferenceRows retains the row-at-a-time path as the
-// byte-identical reference for the parity suite, the speedup baseline
-// for bench_ext_vectorized, and the fallback for inputs the columnar
-// form cannot represent (ragged rows). ResultSet stays the wire-facing
-// boundary: fault-free outputs are byte-identical across both.
+// vectorized executor reads stored table columns in place and works on
+// typed ColumnVector chunks of at most ExecOptions::batch_rows rows (hash
+// join and hash aggregation by gather, typed group and aggregate kernels,
+// top-K ORDER BY under LIMIT), while ExecuteSelectReferenceRows retains
+// the row-at-a-time path as the byte-identical reference for the parity
+// suite, the speedup baseline for bench_ext_vectorized, and the fallback
+// for row inputs the columnar form cannot represent (ragged rows).
+// ResultSet stays the wire-facing boundary: fault-free outputs are
+// byte-identical across both.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "griddb/sql/ast.h"
+#include "griddb/storage/column_vector.h"
 #include "griddb/storage/result_set.h"
 #include "griddb/util/cancellation.h"
 #include "griddb/util/status.h"
 
 namespace griddb::engine {
 
-/// Borrowed view of a materialized table: column names plus a pointer to
-/// its rows, valid for the duration of the ExecuteSelect call. Lets the
-/// vectorized scan read rows in place instead of copying the whole table.
-struct TableView {
+/// A table lent to one ExecuteSelect call: its column names plus either
+/// its stored typed columns (a Database base table, read in place) or its
+/// rows (a materialized ResultSet: MapTableSource entries, views and
+/// system catalogs). Borrowed pointers stay valid for the call; `owned`
+/// keeps rows the source materialized for this call alive.
+struct BorrowedTable {
   std::vector<std::string> columns;
-  const std::vector<storage::Row>* rows;
+  size_t num_rows = 0;
+  const std::vector<storage::ColumnVector>* stored = nullptr;
+  const std::vector<storage::Row>* rows = nullptr;  // set when !stored
+  std::unique_ptr<const storage::ResultSet> owned;
+
+  /// Lends rows materialized for this call (a view or catalog result).
+  static BorrowedTable Materialized(storage::ResultSet rs);
 };
 
-/// Provides the rows of a named table (or view) to the executor.
+/// Provides the tables (and views) a SELECT reads.
 class TableSource {
  public:
   virtual ~TableSource() = default;
-  virtual Result<storage::ResultSet> GetTable(const std::string& name) const = 0;
-  /// Borrowing variant: a source holding materialized tables returns a
-  /// pointer (stable for the duration of the ExecuteSelect call) so the
-  /// executor can read rows in place instead of copying the whole
-  /// ResultSet. Default: not available, the executor falls back to
-  /// GetTable.
-  virtual const storage::ResultSet* FindTable(const std::string& name) const {
-    (void)name;
-    return nullptr;
-  }
-  /// Borrowing variant for sources whose tables are materialized but not
-  /// shaped as ResultSet (Database's storage tables). Defaults to
-  /// adapting FindTable.
-  virtual std::optional<TableView> BorrowTable(const std::string& name) const {
-    if (const storage::ResultSet* rs = FindTable(name)) {
-      return TableView{rs->columns, &rs->rows};
-    }
-    return std::nullopt;
-  }
+  /// Lends table `name` for the duration of one ExecuteSelect call.
+  virtual Result<BorrowedTable> Borrow(const std::string& name) const = 0;
 };
 
 /// Simple TableSource over pre-materialized result sets keyed by name
@@ -65,8 +58,7 @@ class TableSource {
 class MapTableSource : public TableSource {
  public:
   void Add(std::string name, storage::ResultSet rs);
-  Result<storage::ResultSet> GetTable(const std::string& name) const override;
-  const storage::ResultSet* FindTable(const std::string& name) const override;
+  Result<BorrowedTable> Borrow(const std::string& name) const override;
 
  private:
   std::vector<std::pair<std::string, storage::ResultSet>> tables_;
@@ -74,11 +66,12 @@ class MapTableSource : public TableSource {
 
 /// Execution knobs.
 struct ExecOptions {
-  /// Checked once per batch inside scan/join/filter/group/projection
-  /// loops (the reference path checks every batch_rows-th row — same
-  /// cadence). Null keeps the loops check-free.
+  /// Checked once per chunk inside join/filter/group/projection loops
+  /// and every 4096 rows while columnarizing a row input (the reference
+  /// path checks every 1024th row). Null keeps the loops check-free.
   const CancelToken* cancel = nullptr;
-  /// Rows per columnar batch; also the cancellation-check cadence.
+  /// Most rows per chunk that a filter or join emits. An input table
+  /// enters as one chunk: stored columns are read in place.
   size_t batch_rows = 1024;
   /// When false, runs the retained row-at-a-time reference path.
   bool use_vectorized = true;

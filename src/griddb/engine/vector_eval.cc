@@ -250,11 +250,11 @@ Result<VectorRef> ElementwiseCombine(const sql::Expr& expr,
 /// Used for the lazy node kinds (CASE, IN) whose children must not be
 /// evaluated eagerly.
 Result<VectorRef> ElementwiseEval(const sql::Expr& expr, const Scope& scope,
-                                  const RowBatch& batch) {
+                                  const Chunk& chunk) {
   ColumnVector out;
-  out.Reserve(batch.rows);
-  for (size_t i = 0; i < batch.rows; ++i) {
-    GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(expr, scope, batch, i));
+  out.Reserve(chunk.rows);
+  for (size_t i = 0; i < chunk.rows; ++i) {
+    GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(expr, scope, chunk, i));
     out.Append(std::move(v));
   }
   return VectorRef::FromOwned(std::move(out));
@@ -263,21 +263,23 @@ Result<VectorRef> ElementwiseEval(const sql::Expr& expr, const Scope& scope,
 }  // namespace
 
 Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
-                             const RowBatch& batch) {
-  const size_t n = batch.rows;
+                             const Chunk& chunk) {
+  const size_t n = chunk.rows;
   switch (expr.kind) {
     case sql::Expr::Kind::kLiteral:
       return VectorRef::Literal(expr.literal, n);
     case sql::Expr::Kind::kColumn: {
       GRIDDB_ASSIGN_OR_RETURN(size_t idx, scope.Resolve(expr.column_ref));
-      if (idx >= batch.cols.size()) return Internal("row narrower than scope");
-      return VectorRef::Borrowed(&batch.cols[idx], n);
+      if (idx >= chunk.cols.size() || chunk.cols[idx] == nullptr) {
+        return Internal("row narrower than scope");
+      }
+      return VectorRef::Borrowed(chunk.cols[idx], n);
     }
     case sql::Expr::Kind::kStar:
       return InvalidArgument("'*' is only valid in SELECT lists and COUNT(*)");
     case sql::Expr::Kind::kUnary: {
       GRIDDB_ASSIGN_OR_RETURN(VectorRef c,
-                              EvalVector(*expr.children[0], scope, batch));
+                              EvalVector(*expr.children[0], scope, chunk));
       if (expr.unary_op == sql::UnaryOp::kNot) {
         BoolSide s = AsBoolSide(c);
         if (s.valid) {
@@ -314,9 +316,9 @@ Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
     }
     case sql::Expr::Kind::kBinary: {
       GRIDDB_ASSIGN_OR_RETURN(VectorRef l,
-                              EvalVector(*expr.children[0], scope, batch));
+                              EvalVector(*expr.children[0], scope, chunk));
       GRIDDB_ASSIGN_OR_RETURN(VectorRef r,
-                              EvalVector(*expr.children[1], scope, batch));
+                              EvalVector(*expr.children[1], scope, chunk));
       using sql::BinaryOp;
       BinaryOp op = expr.binary_op;
       if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
@@ -343,7 +345,7 @@ Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
       std::vector<VectorRef> kids;
       kids.reserve(expr.children.size());
       for (const sql::ExprPtr& child : expr.children) {
-        GRIDDB_ASSIGN_OR_RETURN(VectorRef c, EvalVector(*child, scope, batch));
+        GRIDDB_ASSIGN_OR_RETURN(VectorRef c, EvalVector(*child, scope, chunk));
         kids.push_back(std::move(c));
       }
       return ElementwiseCombine(expr, kids, n);
@@ -353,14 +355,14 @@ Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
       std::vector<VectorRef> kids;
       kids.reserve(expr.children.size());
       for (const sql::ExprPtr& child : expr.children) {
-        GRIDDB_ASSIGN_OR_RETURN(VectorRef c, EvalVector(*child, scope, batch));
+        GRIDDB_ASSIGN_OR_RETURN(VectorRef c, EvalVector(*child, scope, chunk));
         kids.push_back(std::move(c));
       }
       return ElementwiseCombine(expr, kids, n);
     }
     case sql::Expr::Kind::kIsNull: {
       GRIDDB_ASSIGN_OR_RETURN(VectorRef c,
-                              EvalVector(*expr.children[0], scope, batch));
+                              EvalVector(*expr.children[0], scope, chunk));
       ColumnVector out;
       out.Reserve(n);
       for (size_t i = 0; i < n; ++i) {
@@ -375,7 +377,7 @@ Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
       // short-circuits on match (and skips the list entirely for a NULL
       // needle). Eager child evaluation could raise errors the row path
       // never reaches, so these always take the scalar fallback.
-      return ElementwiseEval(expr, scope, batch);
+      return ElementwiseEval(expr, scope, chunk);
   }
   return Internal("unreachable expression kind");
 }

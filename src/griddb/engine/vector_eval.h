@@ -1,4 +1,4 @@
-// Vectorized expression evaluation over RowBatch (DESIGN.md §15).
+// Vectorized expression evaluation over working-set chunks (DESIGN.md §15).
 //
 // EvalVector computes a whole column of results for one expression in a
 // single call. Hot, error-free shapes (numeric comparisons and
@@ -15,16 +15,49 @@
 #include <cstdint>
 #include <vector>
 
-#include "griddb/engine/column_vector.h"
 #include "griddb/engine/eval.h"
 #include "griddb/sql/ast.h"
+#include "griddb/storage/column_vector.h"
 #include "griddb/util/status.h"
 
 namespace griddb::engine {
 
-/// Result of evaluating one expression over one batch: a column borrowed
-/// from the batch (bare column refs are zero-copy), an owned vector, or a
-/// literal broadcast across the batch's rows.
+using storage::ColumnVector;
+
+/// One chunk of the executor's working set: `rows` rows whose column c is
+/// read through cols[c]. A column is either borrowed — a stored table
+/// column, valid while the Database lock is held — or owned by the chunk
+/// (filter and join output, columnarized row inputs). nullptr marks a
+/// scope column the statement never references; nothing reads it.
+/// Move-only: owned columns stay put when the chunk moves.
+struct Chunk {
+  explicit Chunk(size_t width = 0) : cols(width, nullptr), owned_(width) {}
+  Chunk(Chunk&&) = default;
+  Chunk& operator=(Chunk&&) = default;
+
+  /// Makes column c owned by this chunk and returns it for filling.
+  ColumnVector& Own(size_t c) {
+    cols[c] = &owned_[c];
+    return owned_[c];
+  }
+
+  /// Resident bytes of the owned columns (borrowed ones cost nothing).
+  size_t OwnedBytes() const {
+    size_t bytes = 0;
+    for (const ColumnVector& col : owned_) bytes += col.ByteSize();
+    return bytes;
+  }
+
+  std::vector<const ColumnVector*> cols;
+  size_t rows = 0;
+
+ private:
+  std::vector<ColumnVector> owned_;  // owned_[c] backs cols[c] after Own(c)
+};
+
+/// Result of evaluating one expression over one chunk: a column borrowed
+/// from the chunk (bare column refs are zero-copy), an owned vector, or a
+/// literal broadcast across the chunk's rows.
 class VectorRef {
  public:
   static VectorRef Borrowed(const ColumnVector* v, size_t rows) {
@@ -69,9 +102,9 @@ class VectorRef {
   size_t rows_ = 0;
 };
 
-/// Evaluates `expr` over every row of `batch`.
+/// Evaluates `expr` over every row of `chunk`.
 Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
-                             const RowBatch& batch);
+                             const Chunk& chunk);
 
 /// WHERE/ON selection: appends (in row order) the indices of rows whose
 /// value is non-NULL and truthy, with the row evaluator's coercion — a

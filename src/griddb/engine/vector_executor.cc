@@ -1,24 +1,28 @@
 // Batch-at-a-time SELECT execution (DESIGN.md §15).
 //
-// The working set flows between operators as a list of RowBatch chunks of
-// at most ExecOptions::batch_rows rows each. Scan borrows table rows in
-// place and columnarizes them chunk by chunk; WHERE evaluates the
-// predicate once per chunk (EvalVector) and gathers survivors; joins
-// build an insertion-ordered hash table and emit gathered output chunks;
-// GROUP BY hashes key vectors to insertion-ordered groups and finalizes
-// aggregates through the same AggregateValues the row path uses; ORDER BY
-// with LIMIT runs top-K selection instead of a full sort. Cancellation is
-// checked once per chunk — the same cadence as the reference executor's
-// every-1024th-row probe.
+// The working set flows between operators as a list of Chunk columns.
+// Each input table enters as one chunk: a Database base table lends its
+// stored typed columns in place, a row input (merge partials, views) is
+// columnarized once. Before any operator runs, the executor marks the
+// scope columns the statement references (`*` marks all of them); scan,
+// columnarization and every gather touch only those. WHERE evaluates the
+// predicate once per chunk (EvalVector) and gathers survivors into chunks
+// of at most ExecOptions::batch_rows rows; joins build an insertion-ordered
+// hash table and emit gathered output chunks; GROUP BY assigns each row a
+// first-seen group id (typed hash for a single int64 or string key) and
+// aggregates fold per group in row order (typed kernels over int64/double
+// arguments, AggregateValues otherwise); ORDER BY with LIMIT runs top-K
+// selection instead of a full sort. Cancellation is checked once per
+// chunk.
 //
 // Parity contract: on fault-free inputs the emitted ResultSet is
 // byte-identical to ExecuteSelectReferenceRows. Anything the columnar
 // form cannot evaluate identically falls back — per expression to the
-// shared scalar kernels (vector_eval.cc), or per query to the reference
-// executor when a source yields ragged rows.
+// shared scalar kernels (vector_eval.cc), per aggregate or GROUP BY key
+// to the Value path, or per query to the reference executor when a row
+// input is ragged.
 #include <algorithm>
 #include <functional>
-#include <list>
 #include <optional>
 #include <unordered_map>
 
@@ -61,17 +65,18 @@ Status CheckCancel(const CancelToken* cancel) {
 }
 
 /// The working set between operators: a scope naming the columns and the
-/// rows as a sequence of columnar chunks.
+/// rows as a sequence of columnar chunks. The scope is always a prefix of
+/// the statement's full scope, so column c here is column c there.
 struct VecWorkingSet {
   Scope scope;
-  std::vector<RowBatch> chunks;
+  std::vector<Chunk> chunks;
   size_t total_rows = 0;
 
   size_t width() const { return scope.size(); }
 
   void TrackPeak() const {
     size_t bytes = 0;
-    for (const RowBatch& b : chunks) bytes += b.ByteSize();
+    for (const Chunk& c : chunks) bytes += c.OwnedBytes();
     EngineMetrics& m = Metrics();
     m.batches->Add(chunks.size());
     if (static_cast<double>(bytes) > m.batch_bytes_peak->value()) {
@@ -80,70 +85,100 @@ struct VecWorkingSet {
   }
 };
 
-/// Borrows tables from the source, keeping owned copies alive (in a list,
-/// so growth never moves them) when the source cannot lend rows in place.
-class TableLender {
- public:
-  explicit TableLender(const TableSource& source) : source_(source) {}
-
-  Result<TableView> Borrow(const std::string& name) {
-    if (std::optional<TableView> view = source_.BorrowTable(name)) {
-      return *view;
-    }
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, source_.GetTable(name));
-    owned_.push_back(std::move(rs));
-    return TableView{owned_.back().columns, &owned_.back().rows};
-  }
-
- private:
-  const TableSource& source_;
-  std::list<ResultSet> owned_;  // list: growth keeps row pointers stable
-};
-
-/// Columnarizes `rows` into chunks of at most `batch_rows`. Any row whose
-/// width differs from `width` flips `ragged`: the columnar form cannot
-/// reproduce the row path's access-dependent semantics there, so the
-/// caller aborts to the reference executor.
-Status Columnarize(const std::vector<Row>& rows, size_t width,
-                   size_t batch_rows, const CancelToken* cancel,
-                   std::vector<RowBatch>& out, bool& ragged) {
-  for (size_t start = 0; start < rows.size(); start += batch_rows) {
-    GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
-    size_t len = std::min(batch_rows, rows.size() - start);
-    RowBatch batch;
-    batch.cols.resize(width);
-    for (ColumnVector& col : batch.cols) col.Reserve(len);
-    for (size_t r = start; r < start + len; ++r) {
-      const Row& row = rows[r];
-      if (row.size() != width) {
-        ragged = true;
-        return Status::Ok();
+/// Marks every column of the full scope the statement can read. A column
+/// reference marks each entry it could resolve to in any prefix scope, so
+/// an unqualified name that only turns ambiguous after a later join is
+/// still covered; a select-list star marks the columns it expands to.
+/// COUNT(*) reads no column.
+std::vector<bool> ReferencedColumns(const sql::SelectStmt& stmt,
+                                    const Scope& scope) {
+  std::vector<bool> used(scope.size(), false);
+  auto mark = [&](const sql::Expr& root) {
+    std::vector<const sql::ColumnRef*> refs;
+    sql::CollectColumnRefs(root, refs);
+    for (const sql::ColumnRef* ref : refs) {
+      for (size_t i = 0; i < scope.size(); ++i) {
+        if (EqualsIgnoreCase(scope.column(i), ref->column) &&
+            (ref->table.empty() ||
+             EqualsIgnoreCase(scope.qualifier(i), ref->table))) {
+          used[i] = true;
+        }
       }
-      for (size_t c = 0; c < width; ++c) batch.cols[c].Append(row[c]);
     }
-    batch.rows = len;
-    out.push_back(std::move(batch));
+  };
+  for (const sql::SelectItem& item : stmt.items) {
+    if (item.expr->kind != sql::Expr::Kind::kStar) {
+      mark(*item.expr);
+      continue;
+    }
+    const std::string& qualifier = item.expr->column_ref.table;
+    for (size_t i = 0; i < scope.size(); ++i) {
+      if (qualifier.empty() || EqualsIgnoreCase(scope.qualifier(i), qualifier)) {
+        used[i] = true;
+      }
+    }
   }
-  return Status::Ok();
+  for (const sql::Join& join : stmt.joins) {
+    if (join.on) mark(*join.on);
+  }
+  if (stmt.where) mark(*stmt.where);
+  for (const sql::ExprPtr& g : stmt.group_by) mark(*g);
+  if (stmt.having) mark(*stmt.having);
+  for (const sql::OrderItem& o : stmt.order_by) mark(*o.expr);
+  return used;
 }
 
-/// Columnarizes a whole table into ONE batch (the join build side needs a
-/// single gather target spanning every build row).
-Status ColumnarizeWhole(const TableView& view, const CancelToken* cancel,
-                        RowBatch& out, bool& ragged) {
-  size_t width = view.columns.size();
-  out.cols.resize(width);
-  for (ColumnVector& col : out.cols) col.Reserve(view.rows->size());
-  for (size_t r = 0; r < view.rows->size(); ++r) {
+/// A chunk of `width` columns owning every referenced one.
+Chunk OwnedChunk(size_t width, const std::vector<bool>& used) {
+  Chunk chunk(width);
+  for (size_t c = 0; c < width; ++c) {
+    if (used[c]) chunk.Own(c);
+  }
+  return chunk;
+}
+
+/// Gathers src rows idx[0, n) of every present column.
+Chunk GatherChunk(const Chunk& src, const uint32_t* idx, size_t n) {
+  Chunk out(src.cols.size());
+  for (size_t c = 0; c < src.cols.size(); ++c) {
+    if (src.cols[c]) out.Own(c).AppendGather(*src.cols[c], idx, n);
+  }
+  out.rows = n;
+  return out;
+}
+
+/// One input table as a single chunk holding its referenced columns
+/// (full-scope columns from `offset`): stored columns are borrowed in
+/// place, rows are columnarized. Any row whose width differs from the
+/// table's flips `ragged`: the columnar form cannot reproduce the row
+/// path's access-dependent semantics there, so the caller aborts to the
+/// reference executor.
+Status TableChunk(const BorrowedTable& table, const std::vector<bool>& used,
+                  size_t offset, const CancelToken* cancel, Chunk& out,
+                  bool& ragged) {
+  const size_t width = table.columns.size();
+  out = Chunk(width);
+  out.rows = table.num_rows;
+  if (table.stored) {
+    for (size_t c = 0; c < width; ++c) {
+      if (used[offset + c]) out.cols[c] = &(*table.stored)[c];
+    }
+    return Status::Ok();
+  }
+  std::vector<std::pair<size_t, ColumnVector*>> fill;
+  for (size_t c = 0; c < width; ++c) {
+    if (used[offset + c]) fill.push_back({c, &out.Own(c)});
+  }
+  const std::vector<Row>& rows = *table.rows;
+  for (size_t r = 0; r < rows.size(); ++r) {
     if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
-    const Row& row = (*view.rows)[r];
+    const Row& row = rows[r];
     if (row.size() != width) {
       ragged = true;
       return Status::Ok();
     }
-    for (size_t c = 0; c < width; ++c) out.cols[c].Append(row[c]);
+    for (const auto& [c, col] : fill) col->Append(row[c]);
   }
-  out.rows = view.rows->size();
   return Status::Ok();
 }
 
@@ -152,23 +187,18 @@ Status ColumnarizeWhole(const TableView& view, const CancelToken* cancel,
 /// working-set order, duplicate-key matches in build insertion order,
 /// LEFT-join padding immediately after each unmatched probe row.
 Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
-                   const TableView& right_view, sql::JoinType type,
-                   const sql::Expr* on, const ExecOptions& opts,
-                   bool& ragged) {
+                   const std::vector<std::string>& right_columns,
+                   const Chunk& right, sql::JoinType type, const sql::Expr* on,
+                   const std::vector<bool>& used, const ExecOptions& opts) {
   Scope incoming_scope;
-  incoming_scope.AddColumns(qualifier, right_view.columns);
+  incoming_scope.AddColumns(qualifier, right_columns);
   Scope combined = ws.scope;
-  combined.AddColumns(qualifier, right_view.columns);
-
-  RowBatch right;
-  GRIDDB_RETURN_IF_ERROR(
-      ColumnarizeWhole(right_view, opts.cancel, right, ragged));
-  if (ragged) return Status::Ok();
+  combined.AddColumns(qualifier, right_columns);
 
   size_t left_width = ws.width();
-  size_t right_width = right_view.columns.size();
+  size_t right_width = right_columns.size();
   size_t out_width = left_width + right_width;
-  std::vector<RowBatch> out_chunks;
+  std::vector<Chunk> out_chunks;
   size_t out_rows = 0;
 
   std::optional<EquiJoinKey> key;
@@ -185,14 +215,14 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
     // any other representation (doubles, mixed/boxed columns) keeps the
     // Value-keyed table, which matches cross-type numeric keys the same
     // way the reference executor's does.
-    const ColumnVector& build_col = right.cols[key->new_index];
+    const ColumnVector& build_col = *right.cols[key->new_index];
     auto int_keyed = [](const ColumnVector& col) {
       return col.rep() == ColumnVector::Rep::kInt64 ||
              col.rep() == ColumnVector::Rep::kNone;  // kNone = all NULL
     };
     bool typed_keys = int_keyed(build_col);
-    for (const RowBatch& chunk : ws.chunks) {
-      if (!int_keyed(chunk.cols[key->left_index])) typed_keys = false;
+    for (const Chunk& chunk : ws.chunks) {
+      if (!int_keyed(*chunk.cols[key->left_index])) typed_keys = false;
     }
 
     std::unordered_map<int64_t, std::vector<uint32_t>> int_hash;
@@ -213,26 +243,26 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
       }
     }
 
-    for (const RowBatch& chunk : ws.chunks) {
+    for (const Chunk& chunk : ws.chunks) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-      const ColumnVector& probe_col = chunk.cols[key->left_index];
+      const ColumnVector& probe_col = *chunk.cols[key->left_index];
       const int64_t* probe_ints =
           probe_col.rep() == ColumnVector::Rep::kInt64 ? probe_col.ints()
                                                        : nullptr;
       std::vector<uint32_t> lidx, ridx;
       auto flush = [&]() {
         if (lidx.empty()) return;
-        RowBatch out;
-        out.cols.reserve(out_width);
+        Chunk out(out_width);
         for (size_t c = 0; c < left_width; ++c) {
-          ColumnVector cv;
-          cv.AppendGather(chunk.cols[c], lidx.data(), lidx.size());
-          out.cols.push_back(std::move(cv));
+          if (chunk.cols[c]) {
+            out.Own(c).AppendGather(*chunk.cols[c], lidx.data(), lidx.size());
+          }
         }
         for (size_t c = 0; c < right_width; ++c) {
-          ColumnVector cv;
-          cv.AppendGather(right.cols[c], ridx.data(), ridx.size());
-          out.cols.push_back(std::move(cv));
+          if (right.cols[c]) {
+            out.Own(left_width + c)
+                .AppendGather(*right.cols[c], ridx.data(), ridx.size());
+          }
         }
         out.rows = lidx.size();
         out_rows += out.rows;
@@ -273,34 +303,31 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
     // General join: for each probe row, evaluate ON over candidate chunks
     // of (broadcast left row × slice of build rows). Emit order is probe
     // row order then build row order — the nested loop's order.
-    RowBatch pending;
-    pending.cols.resize(out_width);
+    Chunk pending = OwnedChunk(out_width, used);
     auto flush_pending = [&]() {
       if (pending.rows == 0) return;
       out_rows += pending.rows;
       out_chunks.push_back(std::move(pending));
-      pending = RowBatch();
-      pending.cols.resize(out_width);
+      pending = OwnedChunk(out_width, used);
     };
-    for (const RowBatch& chunk : ws.chunks) {
+    for (const Chunk& chunk : ws.chunks) {
       for (size_t i = 0; i < chunk.rows; ++i) {
         GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
         bool matched = false;
         for (size_t start = 0; start < right.rows;
              start += opts.batch_rows) {
           size_t len = std::min(opts.batch_rows, right.rows - start);
-          RowBatch cand;
-          cand.cols.reserve(out_width);
+          Chunk cand(out_width);
           std::vector<uint32_t> broadcast(len, static_cast<uint32_t>(i));
           for (size_t c = 0; c < left_width; ++c) {
-            ColumnVector cv;
-            cv.AppendGather(chunk.cols[c], broadcast.data(), len);
-            cand.cols.push_back(std::move(cv));
+            if (chunk.cols[c]) {
+              cand.Own(c).AppendGather(*chunk.cols[c], broadcast.data(), len);
+            }
           }
           for (size_t c = 0; c < right_width; ++c) {
-            ColumnVector cv;
-            cv.AppendSlice(right.cols[c], start, len);
-            cand.cols.push_back(std::move(cv));
+            if (right.cols[c]) {
+              cand.Own(left_width + c).AppendSlice(*right.cols[c], start, len);
+            }
           }
           cand.rows = len;
           std::vector<uint32_t> keep;
@@ -317,18 +344,22 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
           if (keep.empty()) continue;
           matched = true;
           for (size_t c = 0; c < out_width; ++c) {
-            pending.cols[c].AppendGather(cand.cols[c], keep.data(),
-                                         keep.size());
+            if (cand.cols[c]) {
+              pending.Own(c).AppendGather(*cand.cols[c], keep.data(),
+                                          keep.size());
+            }
           }
           pending.rows += keep.size();
           if (pending.rows >= opts.batch_rows) flush_pending();
         }
         if (!matched && type == sql::JoinType::kLeft) {
-          for (size_t c = 0; c < left_width; ++c) {
-            pending.cols[c].Append(chunk.cols[c].Get(i));
-          }
-          for (size_t c = left_width; c < out_width; ++c) {
-            pending.cols[c].AppendNull();
+          for (size_t c = 0; c < out_width; ++c) {
+            if (!pending.cols[c]) continue;
+            if (c < left_width) {
+              pending.Own(c).Append(chunk.cols[c]->Get(i));
+            } else {
+              pending.Own(c).AppendNull();
+            }
           }
           pending.rows += 1;
           if (pending.rows >= opts.batch_rows) flush_pending();
@@ -345,24 +376,27 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
   return Status::Ok();
 }
 
-/// WHERE: evaluate the predicate once per chunk, gather survivors.
+/// WHERE: evaluate the predicate once per chunk, gather survivors into
+/// chunks of at most batch_rows rows. A chunk that keeps every row moves
+/// through untouched (borrowed columns stay borrowed).
 Status FilterVec(VecWorkingSet& ws, const sql::Expr& where,
                  const ExecOptions& opts) {
-  std::vector<RowBatch> kept;
+  std::vector<Chunk> kept;
   size_t total = 0;
-  for (RowBatch& chunk : ws.chunks) {
+  for (Chunk& chunk : ws.chunks) {
     GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
     GRIDDB_ASSIGN_OR_RETURN(VectorRef v, EvalVector(where, ws.scope, chunk));
     std::vector<uint32_t> keep;
     GRIDDB_RETURN_IF_ERROR(SelectTruthy(v, keep));
-    if (keep.empty()) continue;
+    total += keep.size();
     if (keep.size() == chunk.rows) {
-      total += chunk.rows;
-      kept.push_back(std::move(chunk));
-    } else {
-      RowBatch gathered = GatherBatch(chunk, keep.data(), keep.size());
-      total += gathered.rows;
-      kept.push_back(std::move(gathered));
+      if (!keep.empty()) kept.push_back(std::move(chunk));
+      continue;
+    }
+    for (size_t start = 0; start < keep.size(); start += opts.batch_rows) {
+      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+      size_t len = std::min(opts.batch_rows, keep.size() - start);
+      kept.push_back(GatherChunk(chunk, keep.data() + start, len));
     }
   }
   ws.chunks = std::move(kept);
@@ -370,83 +404,266 @@ Status FilterVec(VecWorkingSet& ws, const sql::Expr& where,
   return Status::Ok();
 }
 
-/// One group's member rows as (chunk, row-in-chunk) pairs in working-set
-/// row order. Groups themselves are kept in first-seen order.
-using GroupMembers = std::vector<std::pair<uint32_t, uint32_t>>;
+/// Group assignment: every working-set row's group id, groups numbered in
+/// first-seen row order.
+struct Groups {
+  size_t count = 0;
+  std::vector<std::vector<uint32_t>> ids;  // per chunk, per row; empty:
+                                           // every row is in group 0
+  std::vector<std::pair<uint32_t, uint32_t>> first;  // (chunk, row)
+  std::vector<size_t> sizes;
 
-struct GroupedRows {
-  std::vector<std::vector<Value>> keys;  // parallel to members
-  std::vector<GroupMembers> members;
+  uint32_t Id(size_t ci, size_t ri) const {
+    return ids.empty() ? 0 : ids[ci][ri];
+  }
+  uint32_t Add(uint32_t ci, uint32_t ri) {
+    first.push_back({ci, ri});
+    sizes.push_back(0);
+    return static_cast<uint32_t>(count++);
+  }
 };
 
-Status BuildGroups(const VecWorkingSet& ws, const sql::SelectStmt& stmt,
-                   const ExecOptions& opts, GroupedRows& groups) {
-  std::unordered_map<size_t, std::vector<size_t>> buckets;  // hash -> group
-  for (uint32_t ci = 0; ci < ws.chunks.size(); ++ci) {
-    const RowBatch& chunk = ws.chunks[ci];
-    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    std::vector<VectorRef> key_refs;
-    key_refs.reserve(stmt.group_by.size());
-    for (const sql::ExprPtr& g : stmt.group_by) {
-      GRIDDB_ASSIGN_OR_RETURN(VectorRef v, EvalVector(*g, ws.scope, chunk));
-      key_refs.push_back(std::move(v));
+/// The representation every chunk's GROUP BY key shares: kInt64 or
+/// kString when a single key column is typed that way in every chunk
+/// (all-NULL chunks fit either), else kValue.
+ColumnVector::Rep GroupKeyRep(const std::vector<std::vector<VectorRef>>& keys) {
+  ColumnVector::Rep rep = ColumnVector::Rep::kNone;
+  for (const std::vector<VectorRef>& chunk_keys : keys) {
+    if (chunk_keys.size() != 1 || chunk_keys[0].is_literal()) {
+      return ColumnVector::Rep::kValue;
     }
-    for (uint32_t ri = 0; ri < chunk.rows; ++ri) {
+    ColumnVector::Rep r = chunk_keys[0].vec().rep();
+    if (r == ColumnVector::Rep::kNone) continue;
+    if (r != ColumnVector::Rep::kInt64 && r != ColumnVector::Rep::kString) {
+      return ColumnVector::Rep::kValue;
+    }
+    if (rep != ColumnVector::Rep::kNone && rep != r) {
+      return ColumnVector::Rep::kValue;
+    }
+    rep = r;
+  }
+  return rep == ColumnVector::Rep::kNone ? ColumnVector::Rep::kInt64 : rep;
+}
+
+const int64_t* Payload(const ColumnVector& col, int64_t*) { return col.ints(); }
+const std::string* Payload(const ColumnVector& col, std::string*) {
+  return col.strings();
+}
+
+/// Hashes a single int64 or string key column straight to group ids.
+/// Exact: int64/int64 and string/string equality is Value::Compare for
+/// those pairs, and NULL keys share one group, as in the Value path.
+template <typename Key>
+void AssignTypedGroups(const std::vector<std::vector<VectorRef>>& keys,
+                       Groups& groups) {
+  std::unordered_map<Key, uint32_t> map;
+  std::optional<uint32_t> null_group;
+  for (uint32_t ci = 0; ci < keys.size(); ++ci) {
+    const ColumnVector& col = keys[ci][0].vec();
+    const Key* payload = Payload(col, static_cast<Key*>(nullptr));
+    std::vector<uint32_t>& ids = groups.ids[ci];
+    ids.resize(col.size());
+    for (uint32_t ri = 0; ri < col.size(); ++ri) {
+      uint32_t id;
+      if (col.IsNull(ri)) {
+        if (!null_group) null_group = groups.Add(ci, ri);
+        id = *null_group;
+      } else {
+        auto it = map.find(payload[ri]);
+        if (it == map.end()) {
+          it = map.emplace(payload[ri], groups.Add(ci, ri)).first;
+        }
+        id = it->second;
+      }
+      ids[ri] = id;
+      ++groups.sizes[id];
+    }
+  }
+}
+
+Status BuildGroups(const VecWorkingSet& ws, const sql::SelectStmt& stmt,
+                   const ExecOptions& opts, Groups& groups) {
+  // No GROUP BY but aggregates present: one global group, even when the
+  // working set is empty (COUNT(*) over nothing is 0).
+  if (stmt.group_by.empty()) {
+    groups.Add(0, 0);
+    groups.sizes[0] = ws.total_rows;
+    return Status::Ok();
+  }
+  std::vector<std::vector<VectorRef>> keys(ws.chunks.size());
+  for (size_t ci = 0; ci < ws.chunks.size(); ++ci) {
+    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+    for (const sql::ExprPtr& g : stmt.group_by) {
+      GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
+                              EvalVector(*g, ws.scope, ws.chunks[ci]));
+      keys[ci].push_back(std::move(v));
+    }
+  }
+  groups.ids.resize(ws.chunks.size());
+  switch (GroupKeyRep(keys)) {
+    case ColumnVector::Rep::kInt64:
+      AssignTypedGroups<int64_t>(keys, groups);
+      return Status::Ok();
+    case ColumnVector::Rep::kString:
+      AssignTypedGroups<std::string>(keys, groups);
+      return Status::Ok();
+    default:
+      break;
+  }
+  // Value path: doubles (NaN and -0.0 follow Value::Compare), bools,
+  // boxed or mixed columns, literals and multi-column keys.
+  std::vector<std::vector<Value>> group_keys;
+  std::unordered_map<size_t, std::vector<uint32_t>> buckets;  // hash -> ids
+  for (uint32_t ci = 0; ci < ws.chunks.size(); ++ci) {
+    std::vector<uint32_t>& ids = groups.ids[ci];
+    ids.resize(ws.chunks[ci].rows);
+    for (uint32_t ri = 0; ri < ws.chunks[ci].rows; ++ri) {
       std::vector<Value> key;
-      key.reserve(key_refs.size());
-      for (const VectorRef& ref : key_refs) key.push_back(ref.At(ri));
-      size_t h = storage::RowHasher{}(key);
-      bool placed = false;
-      for (size_t idx : buckets[h]) {
-        const std::vector<Value>& existing = groups.keys[idx];
-        if (existing.size() != key.size()) continue;
+      key.reserve(keys[ci].size());
+      for (const VectorRef& ref : keys[ci]) key.push_back(ref.At(ri));
+      std::vector<uint32_t>& bucket = buckets[storage::RowHasher{}(key)];
+      std::optional<uint32_t> id;
+      for (uint32_t candidate : bucket) {
+        const std::vector<Value>& existing = group_keys[candidate];
         bool equal = true;
         for (size_t i = 0; i < key.size(); ++i) {
           if (existing[i].is_null() != key[i].is_null() ||
-              (!existing[i].is_null() &&
-               existing[i].Compare(key[i]) != 0)) {
+              (!existing[i].is_null() && existing[i].Compare(key[i]) != 0)) {
             equal = false;
             break;
           }
         }
         if (equal) {
-          groups.members[idx].push_back({ci, ri});
-          placed = true;
+          id = candidate;
           break;
         }
       }
-      if (!placed) {
-        buckets[h].push_back(groups.keys.size());
-        groups.keys.push_back(std::move(key));
-        groups.members.push_back({{ci, ri}});
+      if (!id) {
+        id = groups.Add(ci, ri);
+        bucket.push_back(*id);
+        group_keys.push_back(std::move(key));
       }
-    }
-  }
-  // No GROUP BY but aggregates present: one global group, even when the
-  // working set is empty (COUNT(*) over nothing is 0).
-  if (stmt.group_by.empty()) {
-    groups.keys.assign(1, {});
-    groups.members.assign(1, {});
-    GroupMembers& all = groups.members[0];
-    all.reserve(ws.total_rows);
-    for (uint32_t ci = 0; ci < ws.chunks.size(); ++ci) {
-      for (uint32_t ri = 0; ri < ws.chunks[ci].rows; ++ri) {
-        all.push_back({ci, ri});
-      }
+      ids[ri] = *id;
+      ++groups.sizes[*id];
     }
   }
   return Status::Ok();
 }
 
+/// Typed fold of COUNT/SUM/AVG/MIN/MAX, per group in row order, without
+/// boxing. COUNT takes any argument; the others need int64/double (or
+/// all-NULL) argument columns in every chunk, and DISTINCT always takes
+/// the Value path. Mirrors AggregateValues bit for bit: SUM stays int64
+/// while every value is int64 (overflow is the same IntegerOverflow
+/// error) and otherwise sums every value as double in row order from 0;
+/// AVG is that double sum over the count; MIN/MAX replace the best value
+/// only on a strict Value::Compare win (int64 pairs compare as integers,
+/// anything else as doubles), so NaN never wins and the first of 0.0 and
+/// -0.0 stays. Returns false, with `out` untouched, when not applicable.
+Result<bool> TypedAggregate(const sql::Expr& agg,
+                            const std::vector<VectorRef>& args,
+                            const Groups& groups, std::vector<Value>& out) {
+  if (agg.distinct_arg) return false;
+  const std::string& name = agg.function_name;
+  const bool is_count = name == "COUNT";
+  if (!is_count) {
+    for (const VectorRef& arg : args) {
+      if (arg.is_literal()) return false;
+      ColumnVector::Rep rep = arg.vec().rep();
+      if (rep != ColumnVector::Rep::kInt64 &&
+          rep != ColumnVector::Rep::kDouble &&
+          rep != ColumnVector::Rep::kNone) {
+        return false;
+      }
+    }
+  }
+  struct Acc {
+    int64_t n = 0;
+    bool all_int = true;
+    bool overflow = false;
+    int64_t isum = 0;
+    double dsum = 0;
+    bool best_int = false;
+    int64_t best_i = 0;
+    double best_d = 0;
+  };
+  std::vector<Acc> acc(groups.count);
+  const bool is_min = name == "MIN", is_max = name == "MAX";
+  for (size_t ci = 0; ci < args.size(); ++ci) {
+    const VectorRef& arg = args[ci];
+    const uint32_t* ids = groups.ids.empty() ? nullptr : groups.ids[ci].data();
+    if (is_count) {
+      for (size_t ri = 0; ri < arg.rows(); ++ri) {
+        if (!arg.IsNull(ri)) ++acc[ids ? ids[ri] : 0].n;
+      }
+      continue;
+    }
+    const ColumnVector& col = arg.vec();
+    if (col.rep() == ColumnVector::Rep::kNone) continue;
+    const bool is_int = col.rep() == ColumnVector::Rep::kInt64;
+    for (size_t ri = 0; ri < col.size(); ++ri) {
+      if (col.IsNull(ri)) continue;
+      Acc& a = acc[ids ? ids[ri] : 0];
+      const int64_t iv = is_int ? col.ints()[ri] : 0;
+      const double dv = is_int ? static_cast<double>(iv) : col.doubles()[ri];
+      if (is_min || is_max) {
+        bool wins;
+        if (a.n == 0) {
+          wins = true;
+        } else if (is_int && a.best_int) {
+          wins = is_min ? iv < a.best_i : iv > a.best_i;
+        } else {
+          double best = a.best_int ? static_cast<double>(a.best_i) : a.best_d;
+          wins = is_min ? dv < best : dv > best;
+        }
+        if (wins) {
+          a.best_int = is_int;
+          a.best_i = iv;
+          a.best_d = dv;
+        }
+      } else {
+        a.dsum += dv;
+        if (!is_int) {
+          a.all_int = false;
+        } else if (a.all_int && !a.overflow) {
+          a.overflow = __builtin_add_overflow(a.isum, iv, &a.isum);
+        }
+      }
+      ++a.n;
+    }
+  }
+  std::vector<Value> vals;
+  vals.reserve(groups.count);
+  for (const Acc& a : acc) {
+    if (is_count) {
+      vals.push_back(Value(a.n));
+    } else if (a.n == 0) {
+      vals.push_back(Value::Null());
+    } else if (is_min || is_max) {
+      vals.push_back(a.best_int ? Value(a.best_i) : Value(a.best_d));
+    } else if (name == "AVG") {
+      vals.push_back(Value(a.dsum / static_cast<double>(a.n)));
+    } else if (!a.all_int) {
+      vals.push_back(Value(a.dsum));  // SUM over doubles
+    } else if (a.overflow) {
+      return IntegerOverflow();
+    } else {
+      vals.push_back(Value(a.isum));
+    }
+  }
+  out = std::move(vals);
+  return true;
+}
+
 /// Grouped expression evaluation, one result Value per group. Aggregate
-/// arguments evaluate vectorized (once per chunk); finalization goes
-/// through the same CheckAggregateShape/AggregateValues as the row path;
+/// arguments evaluate vectorized (once per chunk) and fold through
+/// TypedAggregate or the shared CheckAggregateShape/AggregateValues;
 /// interior nodes combine per-group child values via CombineScalarNode.
-Result<std::vector<Value>> EvalGroupedVec(
-    const sql::Expr& expr, const Scope& scope,
-    const std::vector<RowBatch>& chunks,
-    const std::vector<GroupMembers>& members) {
-  size_t ngroups = members.size();
+Result<std::vector<Value>> EvalGroupedVec(const sql::Expr& expr,
+                                          const Scope& scope,
+                                          const std::vector<Chunk>& chunks,
+                                          const Groups& groups) {
+  const size_t ngroups = groups.count;
   if (expr.kind == sql::Expr::Kind::kFunction &&
       IsAggregateFunction(expr.function_name)) {
     bool count_star = false;
@@ -454,27 +671,31 @@ Result<std::vector<Value>> EvalGroupedVec(
     std::vector<Value> out;
     out.reserve(ngroups);
     if (count_star) {
-      for (const GroupMembers& g : members) {
-        out.push_back(Value(static_cast<int64_t>(g.size())));
+      for (size_t size : groups.sizes) {
+        out.push_back(Value(static_cast<int64_t>(size)));
       }
       return out;
     }
-    std::vector<VectorRef> arg_per_chunk;
-    arg_per_chunk.reserve(chunks.size());
-    for (const RowBatch& chunk : chunks) {
+    std::vector<VectorRef> args;
+    args.reserve(chunks.size());
+    for (const Chunk& chunk : chunks) {
       GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
                               EvalVector(*expr.children[0], scope, chunk));
-      arg_per_chunk.push_back(std::move(v));
+      args.push_back(std::move(v));
     }
-    for (const GroupMembers& g : members) {
-      std::vector<Value> values;
-      values.reserve(g.size());
-      for (const auto& [ci, ri] : g) {
-        Value v = arg_per_chunk[ci].At(ri);
-        if (!v.is_null()) values.push_back(std::move(v));
+    GRIDDB_ASSIGN_OR_RETURN(bool typed,
+                            TypedAggregate(expr, args, groups, out));
+    if (typed) return out;
+    std::vector<std::vector<Value>> values(ngroups);
+    for (size_t ci = 0; ci < args.size(); ++ci) {
+      for (size_t ri = 0; ri < args[ci].rows(); ++ri) {
+        Value v = args[ci].At(ri);
+        if (!v.is_null()) values[groups.Id(ci, ri)].push_back(std::move(v));
       }
+    }
+    for (std::vector<Value>& group_values : values) {
       GRIDDB_ASSIGN_OR_RETURN(Value agg,
-                              AggregateValues(expr, std::move(values)));
+                              AggregateValues(expr, std::move(group_values)));
       out.push_back(std::move(agg));
     }
     return out;
@@ -484,13 +705,13 @@ Result<std::vector<Value>> EvalGroupedVec(
     // empty group) — EvalGrouped's rule.
     std::vector<Value> out;
     out.reserve(ngroups);
-    for (const GroupMembers& g : members) {
-      if (g.empty()) {
+    for (size_t g = 0; g < ngroups; ++g) {
+      if (groups.sizes[g] == 0) {
         out.push_back(Value::Null());
         continue;
       }
-      GRIDDB_ASSIGN_OR_RETURN(
-          Value v, Eval(expr, scope, chunks[g[0].first], g[0].second));
+      const auto& [ci, ri] = groups.first[g];
+      GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(expr, scope, chunks[ci], ri));
       out.push_back(std::move(v));
     }
     return out;
@@ -499,7 +720,7 @@ Result<std::vector<Value>> EvalGroupedVec(
   child_vals.reserve(expr.children.size());
   for (const sql::ExprPtr& child : expr.children) {
     GRIDDB_ASSIGN_OR_RETURN(std::vector<Value> vals,
-                            EvalGroupedVec(*child, scope, chunks, members));
+                            EvalGroupedVec(*child, scope, chunks, groups));
     child_vals.push_back(std::move(vals));
   }
   std::vector<Value> out;
@@ -517,53 +738,52 @@ Result<std::vector<Value>> EvalGroupedVec(
   return out;
 }
 
-/// After HAVING drops groups, gathers the surviving groups' rows into new
-/// chunks (preserving row order) and remaps member coordinates, so the
-/// projection and ORDER BY aggregate arguments are evaluated over exactly
-/// the rows the reference executor evaluates them over.
-void GatherSurvivors(const std::vector<RowBatch>& chunks,
-                     const std::vector<GroupMembers>& members,
-                     const std::vector<size_t>& survivors,
-                     std::vector<RowBatch>& out_chunks,
-                     std::vector<GroupMembers>& out_members) {
-  // Per-chunk keep lists, then a coordinate remap table.
-  std::vector<std::vector<uint32_t>> keep(chunks.size());
+/// After HAVING drops groups, keeps only the surviving groups' rows (in
+/// row order) and renumbers the survivors, so the projection and ORDER BY
+/// aggregate arguments are evaluated over exactly the rows the reference
+/// executor evaluates them over.
+void KeepSurvivors(const std::vector<size_t>& survivors,
+                   std::vector<Chunk>& chunks, Groups& groups) {
+  std::vector<uint32_t> remap(groups.count, ColumnVector::kNullIndex);
+  Groups kept;
   for (size_t g : survivors) {
-    for (const auto& [ci, ri] : members[g]) keep[ci].push_back(ri);
+    remap[g] = static_cast<uint32_t>(kept.count);
+    kept.Add(0, 0);
+    kept.sizes.back() = groups.sizes[g];
   }
-  std::vector<std::vector<uint32_t>> remap(chunks.size());
-  std::vector<uint32_t> new_chunk_of(chunks.size());
+  std::vector<bool> first_set(kept.count, false);
+  std::vector<Chunk> kept_chunks;
   for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    std::sort(keep[ci].begin(), keep[ci].end());
-    remap[ci].assign(chunks[ci].rows, ColumnVector::kNullIndex);
-    if (keep[ci].empty()) continue;
-    new_chunk_of[ci] = static_cast<uint32_t>(out_chunks.size());
-    for (uint32_t k = 0; k < keep[ci].size(); ++k) {
-      remap[ci][keep[ci][k]] = k;
+    std::vector<uint32_t> rows, ids;
+    for (uint32_t ri = 0; ri < chunks[ci].rows; ++ri) {
+      uint32_t id = remap[groups.Id(ci, ri)];
+      if (id == ColumnVector::kNullIndex) continue;
+      if (!first_set[id]) {
+        first_set[id] = true;
+        kept.first[id] = {static_cast<uint32_t>(kept_chunks.size()),
+                          static_cast<uint32_t>(rows.size())};
+      }
+      rows.push_back(ri);
+      ids.push_back(id);
     }
-    out_chunks.push_back(
-        GatherBatch(chunks[ci], keep[ci].data(), keep[ci].size()));
+    if (rows.empty()) continue;
+    kept_chunks.push_back(GatherChunk(chunks[ci], rows.data(), rows.size()));
+    kept.ids.push_back(std::move(ids));
   }
-  out_members.reserve(survivors.size());
-  for (size_t g : survivors) {
-    GroupMembers m;
-    m.reserve(members[g].size());
-    for (const auto& [ci, ri] : members[g]) {
-      m.push_back({new_chunk_of[ci], remap[ci][ri]});
-    }
-    out_members.push_back(std::move(m));
-  }
+  chunks = std::move(kept_chunks);
+  groups = std::move(kept);
 }
 
 /// Fast path for plain projections of a single table (no joins, WHERE,
 /// grouping, ordering or DISTINCT): resolve each output column once, then
 /// copy only the rows LIMIT/OFFSET keeps. This is the ntuple-scan shape —
 /// the reference path re-resolves every column name for every row.
-Result<std::optional<ResultSet>> TryFastScan(
-    const sql::SelectStmt& stmt, const TableView& view,
-    const ExecOptions& opts, bool& ragged) {
+Result<std::optional<ResultSet>> TryFastScan(const sql::SelectStmt& stmt,
+                                             const BorrowedTable& table,
+                                             const ExecOptions& opts,
+                                             bool& ragged) {
   Scope scope;
-  scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
+  scope.AddColumns(stmt.from[0].EffectiveName(), table.columns);
   std::vector<sql::SelectItem> items;
   std::vector<std::string> names;
   GRIDDB_RETURN_IF_ERROR(ExpandStars(stmt, scope, items, names));
@@ -576,10 +796,9 @@ Result<std::optional<ResultSet>> TryFastScan(
 
   ResultSet out;
   out.columns = std::move(names);
-  const std::vector<Row>& rows = *view.rows;
-  if (rows.empty()) return std::optional<ResultSet>(std::move(out));
+  if (table.num_rows == 0) return std::optional<ResultSet>(std::move(out));
 
-  size_t width = view.columns.size();
+  size_t width = table.columns.size();
   struct Slot {
     size_t index;  // column index, or npos for a literal
     const Value* literal;
@@ -603,15 +822,17 @@ Result<std::optional<ResultSet>> TryFastScan(
   // The reference path projects every row before OFFSET/LIMIT, so rows
   // narrower than the scope error even when sliced away. Exact-width is
   // all the columnar form handles; anything else goes to the reference.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    if (rows[r].size() != width) {
-      ragged = true;
-      return std::optional<ResultSet>(ResultSet{});
+  if (table.rows) {
+    for (size_t r = 0; r < table.num_rows; ++r) {
+      if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+      if ((*table.rows)[r].size() != width) {
+        ragged = true;
+        return std::optional<ResultSet>(ResultSet{});
+      }
     }
   }
 
-  size_t start = 0, end = rows.size();
+  size_t start = 0, end = table.num_rows;
   if (stmt.offset && *stmt.offset > 0) {
     start = std::min<size_t>(end, static_cast<size_t>(*stmt.offset));
   }
@@ -619,9 +840,9 @@ Result<std::optional<ResultSet>> TryFastScan(
     end = std::min(end, start + static_cast<size_t>(*stmt.limit));
   }
 
-  if (identity) {
-    out.rows.assign(rows.begin() + static_cast<long>(start),
-                    rows.begin() + static_cast<long>(end));
+  if (identity && table.rows) {
+    out.rows.assign(table.rows->begin() + static_cast<long>(start),
+                    table.rows->begin() + static_cast<long>(end));
     return std::optional<ResultSet>(std::move(out));
   }
   out.rows.reserve(end - start);
@@ -632,8 +853,13 @@ Result<std::optional<ResultSet>> TryFastScan(
     Row projected;
     projected.reserve(slots.size());
     for (const Slot& slot : slots) {
-      projected.push_back(slot.index == kLiteralSlot ? *slot.literal
-                                                     : rows[r][slot.index]);
+      if (slot.index == kLiteralSlot) {
+        projected.push_back(*slot.literal);
+      } else if (table.rows) {
+        projected.push_back((*table.rows)[r][slot.index]);
+      } else {
+        projected.push_back((*table.stored)[slot.index].Get(r));
+      }
     }
     out.rows.push_back(std::move(projected));
   }
@@ -694,14 +920,24 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
   GRIDDB_RETURN_IF_ERROR(CheckDuplicateTables(stmt));
 
-  TableLender lender(source);
+  // Borrow every table in FROM/JOIN order; `scope` is the full scope the
+  // working set grows into.
+  std::vector<const sql::TableRef*> refs = stmt.AllTables();
+  std::vector<BorrowedTable> tables;
+  std::vector<size_t> offsets;
+  Scope scope;
+  for (const sql::TableRef* ref : refs) {
+    GRIDDB_ASSIGN_OR_RETURN(BorrowedTable table, source.Borrow(ref->table));
+    offsets.push_back(scope.size());
+    scope.AddColumns(ref->EffectiveName(), table.columns);
+    tables.push_back(std::move(table));
+  }
   bool ragged = false;
 
-  // Plain single-table scans skip columnarization entirely.
+  // Plain single-table scans project straight from the input.
   if (IsPlainScanShape(stmt)) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[0].table));
     GRIDDB_ASSIGN_OR_RETURN(std::optional<ResultSet> fast,
-                            TryFastScan(stmt, view, opts, ragged));
+                            TryFastScan(stmt, tables[0], opts, ragged));
     if (ragged) {
       unsupported = true;
       Metrics().fallbacks->Add(1);
@@ -713,29 +949,30 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
     }
   }
 
+  const std::vector<bool> used = ReferencedColumns(stmt, scope);
+
   // FROM list: first table seeds the working set, remaining cross-join in.
   VecWorkingSet ws;
   {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[0].table));
-    ws.scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
-    GRIDDB_RETURN_IF_ERROR(Columnarize(*view.rows, view.columns.size(),
-                                       opts.batch_rows, opts.cancel,
-                                       ws.chunks, ragged));
-    ws.total_rows = view.rows->size();
+    ws.scope.AddColumns(refs[0]->EffectiveName(), tables[0].columns);
+    Chunk first;
+    GRIDDB_RETURN_IF_ERROR(
+        TableChunk(tables[0], used, 0, opts.cancel, first, ragged));
+    ws.total_rows = first.rows;
+    if (first.rows > 0) ws.chunks.push_back(std::move(first));
     ws.TrackPeak();
   }
-  for (size_t i = 1; i < stmt.from.size() && !ragged; ++i) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[i].table));
-    GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, stmt.from[i].EffectiveName(), view,
-                                       sql::JoinType::kCross, nullptr, opts,
-                                       ragged));
-  }
-  for (size_t i = 0; i < stmt.joins.size() && !ragged; ++i) {
-    const sql::Join& join = stmt.joins[i];
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(join.table.table));
-    GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, join.table.EffectiveName(), view,
-                                       join.type, join.on.get(), opts,
-                                       ragged));
+  for (size_t i = 1; i < refs.size() && !ragged; ++i) {
+    Chunk right;
+    GRIDDB_RETURN_IF_ERROR(
+        TableChunk(tables[i], used, offsets[i], opts.cancel, right, ragged));
+    if (ragged) break;
+    const sql::Join* join =
+        i < stmt.from.size() ? nullptr : &stmt.joins[i - stmt.from.size()];
+    GRIDDB_RETURN_IF_ERROR(JoinIntoVec(
+        ws, refs[i]->EffectiveName(), tables[i].columns, right,
+        join ? join->type : sql::JoinType::kCross,
+        join ? join->on.get() : nullptr, used, opts));
   }
   if (ragged) {
     unsupported = true;
@@ -768,20 +1005,16 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
   std::vector<std::vector<Value>> order_keys;
 
   if (has_aggregate) {
-    GroupedRows groups;
+    Groups groups;
     GRIDDB_RETURN_IF_ERROR(BuildGroups(ws, stmt, opts, groups));
 
     // HAVING filters whole groups before any projection work, so select
     // items are never evaluated over a dropped group's rows (the
     // reference never evaluates them there either).
-    std::vector<RowBatch>* chunks = &ws.chunks;
-    std::vector<GroupMembers>* members = &groups.members;
-    std::vector<RowBatch> surviving_chunks;
-    std::vector<GroupMembers> surviving_members;
     if (stmt.having) {
       GRIDDB_ASSIGN_OR_RETURN(
           std::vector<Value> keep_vals,
-          EvalGroupedVec(*stmt.having, ws.scope, ws.chunks, groups.members));
+          EvalGroupedVec(*stmt.having, ws.scope, ws.chunks, groups));
       std::vector<size_t> survivors;
       survivors.reserve(keep_vals.size());
       for (size_t g = 0; g < keep_vals.size(); ++g) {
@@ -789,22 +1022,19 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
         GRIDDB_ASSIGN_OR_RETURN(bool b, keep_vals[g].AsBool());
         if (b) survivors.push_back(g);
       }
-      if (survivors.size() != groups.members.size()) {
-        GatherSurvivors(ws.chunks, groups.members, survivors,
-                        surviving_chunks, surviving_members);
-        chunks = &surviving_chunks;
-        members = &surviving_members;
+      if (survivors.size() != groups.count) {
+        KeepSurvivors(survivors, ws.chunks, groups);
       }
     }
 
-    size_t ngroups = members->size();
+    size_t ngroups = groups.count;
     std::vector<std::vector<Value>> item_vals;  // per item, per group
     item_vals.reserve(items.size());
     for (const sql::SelectItem& item : items) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
       GRIDDB_ASSIGN_OR_RETURN(
           std::vector<Value> vals,
-          EvalGroupedVec(*item.expr, ws.scope, *chunks, *members));
+          EvalGroupedVec(*item.expr, ws.scope, ws.chunks, groups));
       item_vals.push_back(std::move(vals));
     }
 
@@ -835,7 +1065,7 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
         }
         GRIDDB_ASSIGN_OR_RETURN(
             std::vector<Value> vals,
-            EvalGroupedVec(*oi.expr, ws.scope, *chunks, *members));
+            EvalGroupedVec(*oi.expr, ws.scope, ws.chunks, groups));
         key_vals.push_back(std::move(vals));
       }
     }
@@ -864,7 +1094,7 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
     }
     out.rows.reserve(ws.total_rows);
     if (has_order) order_keys.reserve(ws.total_rows);
-    for (const RowBatch& chunk : ws.chunks) {
+    for (const Chunk& chunk : ws.chunks) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
       std::vector<VectorRef> projected;
       projected.reserve(items.size());

@@ -12,8 +12,8 @@
 //   [8B FNV-1a-64 digest][payload ...]
 //
 // The payload is a TLV encoding of the response value in which result
-// sets travel as typed *columns* built straight from the vectorized
-// executor's ColumnVector batches — int64s as zigzag varints, doubles as
+// sets travel as typed *columns* built as storage::ColumnVector, the form
+// engine tables store — int64s as zigzag varints, doubles as
 // 8-byte IEEE, bools bit-packed, strings length-prefixed, plus a packed
 // null bitmap per column — instead of one <value> element per cell.
 // Frames optionally carry an LZ4-style compressed payload (greedy

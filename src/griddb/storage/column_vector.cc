@@ -1,10 +1,6 @@
-#include "griddb/engine/column_vector.h"
+#include "griddb/storage/column_vector.h"
 
-namespace griddb::engine {
-
-using storage::DataType;
-using storage::Row;
-using storage::Value;
+namespace griddb::storage {
 
 Value ColumnVector::Get(size_t i) const {
   if (IsNull(i)) return Value::Null();
@@ -76,92 +72,53 @@ void ColumnVector::AppendNull() {
   }
 }
 
-void ColumnVector::AppendInt64(int64_t v) {
-  if (rep_ == Rep::kNone) Decide(Rep::kInt64);
-  if (rep_ == Rep::kInt64) {
-    i64_.push_back(v);
-    ++size_;
-    return;
-  }
-  Append(Value(v));
-}
-
-void ColumnVector::AppendDouble(double v) {
-  if (rep_ == Rep::kNone) Decide(Rep::kDouble);
-  if (rep_ == Rep::kDouble) {
-    f64_.push_back(v);
-    ++size_;
-    return;
-  }
-  Append(Value(v));
-}
-
-void ColumnVector::AppendBool(bool v) {
-  if (rep_ == Rep::kNone) Decide(Rep::kBool);
-  if (rep_ == Rep::kBool) {
-    b8_.push_back(v ? 1 : 0);
-    ++size_;
-    return;
-  }
-  Append(Value(v));
-}
-
-void ColumnVector::AppendString(std::string v) {
-  if (rep_ == Rep::kNone) Decide(Rep::kString);
-  if (rep_ == Rep::kString) {
-    str_.push_back(std::move(v));
-    ++size_;
-    return;
-  }
-  Append(Value(std::move(v)));
-}
-
-void ColumnVector::Append(const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull: AppendNull(); return;
-    case DataType::kInt64:
-      if (rep_ == Rep::kNone || rep_ == Rep::kInt64) {
-        AppendInt64(v.AsInt64Strict());
-        return;
-      }
-      break;
-    case DataType::kDouble:
-      if (rep_ == Rep::kNone || rep_ == Rep::kDouble) {
-        AppendDouble(v.AsDoubleStrict());
-        return;
-      }
-      break;
-    case DataType::kBool:
-      if (rep_ == Rep::kNone || rep_ == Rep::kBool) {
-        AppendBool(v.AsBoolStrict());
-        return;
-      }
-      break;
-    case DataType::kString:
-      if (rep_ == Rep::kNone || rep_ == Rep::kString) {
-        AppendString(v.AsStringStrict());
-        return;
-      }
-      break;
-  }
-  // Mixed-type column: degrade to boxed storage.
-  if (rep_ != Rep::kValue) BoxAll();
-  boxed_.push_back(v);
-  ++size_;
-}
-
-void ColumnVector::Append(Value&& v) {
-  if (v.type() == DataType::kString &&
-      (rep_ == Rep::kNone || rep_ == Rep::kString)) {
-    AppendString(std::move(const_cast<std::string&>(v.AsStringStrict())));
-    return;
-  }
-  if (rep_ == Rep::kValue && v.type() != DataType::kNull) {
+void ColumnVector::AppendOther(Value&& v) {
+  if (rep_ != Rep::kNone) {
+    if (rep_ != Rep::kValue) BoxAll();
     boxed_.push_back(std::move(v));
     ++size_;
     return;
   }
-  Append(static_cast<const Value&>(v));
+  switch (v.type()) {
+    case DataType::kInt64: Decide(Rep::kInt64); break;
+    case DataType::kDouble: Decide(Rep::kDouble); break;
+    case DataType::kBool: Decide(Rep::kBool); break;
+    case DataType::kString: Decide(Rep::kString); break;
+    case DataType::kNull: AppendNull(); return;
+  }
+  Append(std::move(v));
+}
+
+void ColumnVector::Set(size_t i, const Value& v) {
+  const bool was_null = IsNull(i);
+  if (v.is_null()) {
+    if (was_null) return;
+    SetNullBit(i);
+    if (rep_ == Rep::kValue) boxed_[i] = Value::Null();
+    return;
+  }
+  if (was_null) {
+    nulls_[i >> 6] &= ~(uint64_t{1} << (i & 63));
+    --null_count_;
+  }
+  Rep want = Rep::kValue;
+  switch (v.type()) {
+    case DataType::kInt64: want = Rep::kInt64; break;
+    case DataType::kDouble: want = Rep::kDouble; break;
+    case DataType::kBool: want = Rep::kBool; break;
+    case DataType::kString: want = Rep::kString; break;
+    case DataType::kNull: break;
+  }
+  if (rep_ == Rep::kNone) Decide(want);
+  if (rep_ != want && rep_ != Rep::kValue) BoxAll();
+  switch (rep_) {
+    case Rep::kInt64: i64_[i] = v.AsInt64Strict(); break;
+    case Rep::kDouble: f64_[i] = v.AsDoubleStrict(); break;
+    case Rep::kBool: b8_[i] = v.AsBoolStrict() ? 1 : 0; break;
+    case Rep::kString: str_[i] = v.AsStringStrict(); break;
+    case Rep::kValue: boxed_[i] = v; break;
+    case Rep::kNone: break;
+  }
 }
 
 void ColumnVector::AppendSlice(const ColumnVector& src, size_t start,
@@ -258,12 +215,6 @@ size_t ColumnVector::ByteSize() const {
   return bytes;
 }
 
-size_t RowBatch::ByteSize() const {
-  size_t bytes = 0;
-  for (const ColumnVector& col : cols) bytes += col.ByteSize();
-  return bytes;
-}
-
 Status AppendRowsToBatch(const std::vector<Row>& rows, size_t start,
                          size_t len, RowBatch& out) {
   const size_t width = out.cols.size();
@@ -280,24 +231,15 @@ Status AppendRowsToBatch(const std::vector<Row>& rows, size_t start,
   return Status::Ok();
 }
 
-void MaterializeRows(const RowBatch& batch, std::vector<Row>& out) {
-  out.reserve(out.size() + batch.rows);
-  for (size_t r = 0; r < batch.rows; ++r) {
+void MaterializeRows(const std::vector<ColumnVector>& cols, size_t rows,
+                     std::vector<Row>& out) {
+  out.reserve(out.size() + rows);
+  for (size_t r = 0; r < rows; ++r) {
     Row row;
-    row.reserve(batch.cols.size());
-    for (const ColumnVector& col : batch.cols) row.push_back(col.Get(r));
+    row.reserve(cols.size());
+    for (const ColumnVector& col : cols) row.push_back(col.Get(r));
     out.push_back(std::move(row));
   }
 }
 
-RowBatch GatherBatch(const RowBatch& src, const uint32_t* idx, size_t n) {
-  RowBatch out;
-  out.cols.resize(src.cols.size());
-  for (size_t c = 0; c < src.cols.size(); ++c) {
-    out.cols[c].AppendGather(src.cols[c], idx, n);
-  }
-  out.rows = n;
-  return out;
-}
-
-}  // namespace griddb::engine
+}  // namespace griddb::storage

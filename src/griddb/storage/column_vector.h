@@ -1,7 +1,8 @@
-// Typed column vectors and row batches: the unit of work of the
-// vectorized executor (DESIGN.md §15).
+// Typed column vectors and row batches: the storage form of every
+// engine table and the unit of work of the vectorized executor
+// (DESIGN.md §15).
 //
-// A ColumnVector holds one column of a batch in a typed payload array
+// A ColumnVector holds one column in a typed payload array
 // (int64/double/bool/string) plus a packed null bitmap, so the hot
 // kernels in vector_eval.cc run over contiguous primitive arrays instead
 // of per-cell std::variant dispatch. Columns whose cells mix types — the
@@ -11,20 +12,21 @@
 // back to the exact scalar semantics elementwise, which is what keeps
 // vectorized output byte-identical to the reference row executor.
 //
-// A RowBatch is a set of equally-sized ColumnVectors; the executor
-// streams batches of ExecOptions::batch_rows (default 1024) rows between
-// operators and checks cancellation once per batch.
+// storage::Table keeps one ColumnVector per schema column, and the
+// executor reads those columns in place. A RowBatch is a set of
+// equally-sized owned ColumnVectors; the binary wire codec builds and
+// reads its result blocks through it.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "griddb/storage/result_set.h"
 #include "griddb/storage/value.h"
 #include "griddb/util/status.h"
 
-namespace griddb::engine {
+namespace griddb::storage {
 
 class ColumnVector {
  public:
@@ -51,17 +53,50 @@ class ColumnVector {
 
   /// Boxes cell `i` back into a Value. Type and bit pattern round-trip
   /// exactly (doubles are never re-parsed or re-formatted).
-  storage::Value Get(size_t i) const;
+  Value Get(size_t i) const;
 
   void Reserve(size_t n);
 
   void AppendNull();
-  void Append(const storage::Value& v);
-  void Append(storage::Value&& v);
-  void AppendInt64(int64_t v);
-  void AppendDouble(double v);
-  void AppendBool(bool v);
-  void AppendString(std::string v);
+  void Append(const Value& v) {
+    switch (v.type()) {
+      case DataType::kNull: AppendNull(); return;
+      case DataType::kInt64: AppendInt64(v.AsInt64Strict()); return;
+      case DataType::kDouble: AppendDouble(v.AsDoubleStrict()); return;
+      case DataType::kBool: AppendBool(v.AsBoolStrict()); return;
+      case DataType::kString: AppendString(v.AsStringStrict()); return;
+    }
+  }
+  void Append(Value&& v) {
+    if (v.type() != DataType::kString) return Append(std::as_const(v));
+    AppendString(std::move(const_cast<std::string&>(v.AsStringStrict())));
+  }
+  // Typed appends stay inline while the payload already holds the type.
+  void AppendInt64(int64_t v) {
+    if (rep_ != Rep::kInt64) return AppendOther(Value(v));
+    i64_.push_back(v);
+    ++size_;
+  }
+  void AppendDouble(double v) {
+    if (rep_ != Rep::kDouble) return AppendOther(Value(v));
+    f64_.push_back(v);
+    ++size_;
+  }
+  void AppendBool(bool v) {
+    if (rep_ != Rep::kBool) return AppendOther(Value(v));
+    b8_.push_back(v ? 1 : 0);
+    ++size_;
+  }
+  void AppendString(std::string v) {
+    if (rep_ != Rep::kString) return AppendOther(Value(std::move(v)));
+    str_.push_back(std::move(v));
+    ++size_;
+  }
+
+  /// Overwrites cell `i` (i < size()) with `v`, re-deciding the
+  /// representation exactly as Append would (a type that does not fit
+  /// the payload boxes the column).
+  void Set(size_t i, const Value& v);
 
   /// Appends src[start, start+len). Same-rep payloads bulk-copy.
   void AppendSlice(const ColumnVector& src, size_t start, size_t len);
@@ -70,8 +105,8 @@ class ColumnVector {
   /// NULL. This is the join/filter gather primitive.
   void AppendGather(const ColumnVector& src, const uint32_t* idx, size_t n);
 
-  /// Approximate resident bytes of payload + bitmap (for the admission
-  /// merge-memory accounting and the batch_bytes_peak gauge).
+  /// Approximate resident bytes of payload + bitmap (for the
+  /// batch_bytes_peak gauge).
   size_t ByteSize() const;
 
   // Typed payload access; valid only while rep() matches. Null cells hold
@@ -80,7 +115,7 @@ class ColumnVector {
   const double* doubles() const { return f64_.data(); }
   const uint8_t* bools() const { return b8_.data(); }
   const std::string* strings() const { return str_.data(); }
-  const storage::Value* values() const { return boxed_.data(); }
+  const Value* values() const { return boxed_.data(); }
 
  private:
   void SetNullBit(size_t i);
@@ -89,6 +124,9 @@ class ColumnVector {
   void Decide(Rep r);
   /// Converts a typed payload to boxed Values (first mixed-type append).
   void BoxAll();
+  /// Appends a non-null `v` the payload does not hold: the first cell of
+  /// an untyped column decides its representation, any other boxes it.
+  void AppendOther(Value&& v);
 
   Rep rep_ = Rep::kNone;
   size_t size_ = 0;
@@ -98,7 +136,7 @@ class ColumnVector {
   std::vector<double> f64_;
   std::vector<uint8_t> b8_;
   std::vector<std::string> str_;
-  std::vector<storage::Value> boxed_;
+  std::vector<Value> boxed_;
 };
 
 /// A batch of rows in columnar form. Every column has exactly `rows`
@@ -106,25 +144,16 @@ class ColumnVector {
 struct RowBatch {
   std::vector<ColumnVector> cols;
   size_t rows = 0;
-
-  size_t num_columns() const { return cols.size(); }
-  void Clear() {
-    cols.clear();
-    rows = 0;
-  }
-  size_t ByteSize() const;
 };
 
 /// Columnarizes rows[start, start+len) into `out` (appending). Every row
 /// must have exactly `out.cols.size()` cells; `out.rows` grows by `len`.
-Status AppendRowsToBatch(const std::vector<storage::Row>& rows, size_t start,
+Status AppendRowsToBatch(const std::vector<Row>& rows, size_t start,
                          size_t len, RowBatch& out);
 
-/// Boxes the whole batch back into wire-facing rows (appending to `out`).
-void MaterializeRows(const RowBatch& batch, std::vector<storage::Row>& out);
+/// Boxes rows [0, rows) of equally-sized `cols` into row-major form
+/// (appending to `out`): a RowBatch, or a table's stored columns.
+void MaterializeRows(const std::vector<ColumnVector>& cols, size_t rows,
+                     std::vector<Row>& out);
 
-/// Gathers whole rows: out.cols[c][k] = src.cols[c][idx[k]], with
-/// kNullIndex producing NULL cells.
-RowBatch GatherBatch(const RowBatch& src, const uint32_t* idx, size_t n);
-
-}  // namespace griddb::engine
+}  // namespace griddb::storage

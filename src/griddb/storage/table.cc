@@ -2,12 +2,18 @@
 
 #include <algorithm>
 
-#include "griddb/util/strings.h"
-
 namespace griddb::storage {
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)), columns_(schema_.num_columns()) {
   pk_indexes_ = schema_.PrimaryKeyIndexes();
+}
+
+Row Table::GetRow(size_t index) const {
+  Row row;
+  row.reserve(columns_.size());
+  for (const ColumnVector& col : columns_) row.push_back(col.Get(index));
+  return row;
 }
 
 std::string Table::PkKey(const Row& row) const {
@@ -19,41 +25,50 @@ std::string Table::PkKey(const Row& row) const {
   return key;
 }
 
+Status Table::DuplicateKey() const {
+  return AlreadyExists("duplicate primary key in table '" + name() + "'");
+}
+
 Status Table::CheckPrimaryKeyUnique(const Row& row, size_t ignore_index) const {
   if (pk_indexes_.empty()) return Status::Ok();
   auto it = pk_map_.find(PkKey(row));
-  if (it != pk_map_.end() && it->second != ignore_index) {
-    return AlreadyExists("duplicate primary key in table '" + name() + "'");
-  }
+  if (it != pk_map_.end() && it->second != ignore_index) return DuplicateKey();
   return Status::Ok();
 }
 
 Status Table::Insert(Row row) {
   GRIDDB_RETURN_IF_ERROR(schema_.CoerceRow(row));
-  GRIDDB_RETURN_IF_ERROR(CheckPrimaryKeyUnique(row, rows_.size()));
-  size_t new_index = rows_.size();
-  if (!pk_indexes_.empty()) pk_map_[PkKey(row)] = new_index;
-  for (HashIndex& index : indexes_) {
-    index.map.emplace(row[index.column_index], new_index);
+  if (!pk_indexes_.empty() &&
+      !pk_map_.try_emplace(PkKey(row), num_rows_).second) {
+    return DuplicateKey();
   }
-  rows_.push_back(std::move(row));
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].Append(std::move(row[c]));
+  }
+  ++num_rows_;
   return Status::Ok();
 }
 
 Status Table::InsertAll(std::vector<Row> new_rows) {
-  for (Row& row : new_rows) {
-    GRIDDB_RETURN_IF_ERROR(Insert(std::move(row)));
+  const size_t total = num_rows_ + new_rows.size();
+  for (size_t i = 0; i < new_rows.size(); ++i) {
+    GRIDDB_RETURN_IF_ERROR(Insert(std::move(new_rows[i])));
+    // A fresh table's bulk load sizes each column once its first cell
+    // has fixed the payload type; later loads keep geometric growth.
+    if (num_rows_ == 1 && new_rows.size() > 1) {
+      for (ColumnVector& col : columns_) col.Reserve(total);
+    }
   }
   return Status::Ok();
 }
 
 Status Table::UpdateRow(size_t index, Row row) {
-  if (index >= rows_.size()) {
+  if (index >= num_rows_) {
     return InvalidArgument("row index out of range");
   }
   GRIDDB_RETURN_IF_ERROR(schema_.CoerceRow(row));
   GRIDDB_RETURN_IF_ERROR(CheckPrimaryKeyUnique(row, index));
-  rows_[index] = std::move(row);
+  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Set(index, row[c]);
   ReindexAll();
   return Status::Ok();
 }
@@ -61,79 +76,31 @@ Status Table::UpdateRow(size_t index, Row row) {
 void Table::DeleteRows(std::vector<size_t> indexes) {
   if (indexes.empty()) return;
   std::sort(indexes.begin(), indexes.end());
-  indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
-  // Erase from the back so earlier indexes stay valid.
-  for (auto it = indexes.rbegin(); it != indexes.rend(); ++it) {
-    if (*it < rows_.size()) rows_.erase(rows_.begin() + static_cast<long>(*it));
+  std::vector<uint32_t> keep;
+  keep.reserve(num_rows_);
+  size_t next = 0;
+  for (size_t r = 0; r < num_rows_; ++r) {
+    while (next < indexes.size() && indexes[next] < r) ++next;
+    if (next < indexes.size() && indexes[next] == r) continue;
+    keep.push_back(static_cast<uint32_t>(r));
   }
-  ReindexAll();
-}
-
-void Table::Truncate() {
-  rows_.clear();
+  for (ColumnVector& col : columns_) {
+    ColumnVector kept;
+    kept.AppendGather(col, keep.data(), keep.size());
+    col = std::move(kept);
+  }
+  num_rows_ = keep.size();
   ReindexAll();
 }
 
 void Table::ReindexAll() {
   pk_map_.clear();
-  for (HashIndex& index : indexes_) index.map.clear();
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (!pk_indexes_.empty()) pk_map_[PkKey(rows_[r])] = r;
-    for (HashIndex& index : indexes_) {
-      index.map.emplace(rows_[r][index.column_index], r);
-    }
+  if (pk_indexes_.empty()) return;
+  Row key_row(columns_.size());
+  for (size_t r = 0; r < num_rows_; ++r) {
+    for (size_t idx : pk_indexes_) key_row[idx] = columns_[idx].Get(r);
+    pk_map_[PkKey(key_row)] = r;
   }
-}
-
-Status Table::CreateIndex(std::string_view column) {
-  auto col = schema_.ColumnIndex(column);
-  if (!col) {
-    return NotFound("no column '" + std::string(column) + "' in table '" +
-                    name() + "'");
-  }
-  if (HasIndexOn(column)) return Status::Ok();
-  HashIndex index;
-  index.column_index = *col;
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    index.map.emplace(rows_[r][*col], r);
-  }
-  indexes_.push_back(std::move(index));
-  return Status::Ok();
-}
-
-bool Table::HasIndexOn(std::string_view column) const {
-  auto col = schema_.ColumnIndex(column);
-  if (!col) return false;
-  for (const HashIndex& index : indexes_) {
-    if (index.column_index == *col) return true;
-  }
-  return false;
-}
-
-std::vector<size_t> Table::Lookup(std::string_view column,
-                                  const Value& value) const {
-  std::vector<size_t> out;
-  auto col = schema_.ColumnIndex(column);
-  if (!col) return out;
-  for (const HashIndex& index : indexes_) {
-    if (index.column_index == *col) {
-      auto [begin, end] = index.map.equal_range(value);
-      for (auto it = begin; it != end; ++it) out.push_back(it->second);
-      std::sort(out.begin(), out.end());
-      return out;
-    }
-  }
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    const Value& cell = rows_[r][*col];
-    if (!cell.is_null() && !value.is_null() && cell == value) out.push_back(r);
-  }
-  return out;
-}
-
-size_t Table::DataWireSize() const {
-  size_t total = 0;
-  for (const Row& row : rows_) total += RowWireSize(row);
-  return total;
 }
 
 }  // namespace griddb::storage

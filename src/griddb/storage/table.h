@@ -1,27 +1,33 @@
-// In-memory table storage with primary-key and secondary hash indexes.
+// In-memory table storage: one typed column per schema column plus a
+// primary-key index.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "griddb/storage/column_vector.h"
 #include "griddb/storage/schema.h"
 #include "griddb/storage/value.h"
 #include "griddb/util/status.h"
 
 namespace griddb::storage {
 
-/// A heap of rows plus optional hash indexes. Not internally synchronized;
-/// the owning engine::Database serializes access.
+/// Rows stored column-major: column c of the schema is columns()[c], a
+/// typed ColumnVector (DESIGN.md §15), so scans read the payload arrays in
+/// place. The primary-key index maps key -> row id. Not internally
+/// synchronized; the owning engine::Database serializes access.
 class Table {
  public:
   explicit Table(TableSchema schema);
 
   const TableSchema& schema() const { return schema_; }
   const std::string& name() const { return schema_.name(); }
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Row>& rows() const { return rows_; }
+  size_t num_rows() const { return num_rows_; }
+  const std::vector<ColumnVector>& columns() const { return columns_; }
+
+  /// Boxes row `index` (< num_rows()) for row-at-a-time consumers.
+  Row GetRow(size_t index) const;
 
   /// Validates, coerces and appends. Enforces primary-key uniqueness.
   Status Insert(Row row);
@@ -35,35 +41,17 @@ class Table {
   /// Deletes the rows at the given indexes (sorted ascending internally).
   void DeleteRows(std::vector<size_t> indexes);
 
-  /// Drops all rows (keeps schema and index definitions).
-  void Truncate();
-
-  /// Builds a secondary hash index on one column. Idempotent.
-  Status CreateIndex(std::string_view column);
-  bool HasIndexOn(std::string_view column) const;
-
-  /// Row indexes matching `value` in `column`; uses the hash index when
-  /// available, otherwise scans.
-  std::vector<size_t> Lookup(std::string_view column, const Value& value) const;
-
-  /// Approximate in-memory / on-the-wire footprint of the stored rows.
-  size_t DataWireSize() const;
-
  private:
-  struct HashIndex {
-    size_t column_index;
-    std::unordered_multimap<Value, size_t, ValueHasher> map;
-  };
-
+  Status DuplicateKey() const;
   Status CheckPrimaryKeyUnique(const Row& row, size_t ignore_index) const;
   void ReindexAll();
   std::string PkKey(const Row& row) const;
 
   TableSchema schema_;
-  std::vector<Row> rows_;
+  std::vector<ColumnVector> columns_;
+  size_t num_rows_ = 0;
   std::vector<size_t> pk_indexes_;
-  std::unordered_map<std::string, size_t> pk_map_;  // pk key -> row index
-  std::vector<HashIndex> indexes_;
+  std::unordered_map<std::string, size_t> pk_map_;  // pk key -> row id
 };
 
 }  // namespace griddb::storage

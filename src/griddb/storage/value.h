@@ -37,7 +37,10 @@ class Value {
 
   static Value Null() { return Value(); }
 
-  DataType type() const noexcept;
+  /// The variant's alternatives are declared in DataType order.
+  DataType type() const noexcept {
+    return static_cast<DataType>(data_.index());
+  }
   bool is_null() const noexcept {
     return std::holds_alternative<std::monostate>(data_);
   }

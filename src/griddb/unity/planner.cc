@@ -318,20 +318,20 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
               ToLower(e->column_ref.column));
         }
       }
-      if (e->kind == Expr::Kind::kStar) {
-        if (e->column_ref.table.empty()) {
-          std::fill(wants_all.begin(), wants_all.end(), true);
-        } else {
-          for (size_t i = 0; i < tables.size(); ++i) {
-            if (EqualsIgnoreCase(tables[i].effective, e->column_ref.table)) {
-              wants_all[i] = true;
-            }
-          }
-        }
-      }
       for (const ExprPtr& child : e->children) stack.push_back(child.get());
     }
   });
+  // Only a select-list star fetches whole tables; COUNT(*)'s star
+  // argument reads no column.
+  for (const sql::SelectItem& item : stmt.items) {
+    if (item.expr->kind != Expr::Kind::kStar) continue;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (item.expr->column_ref.table.empty() ||
+          EqualsIgnoreCase(tables[i].effective, item.expr->column_ref.table)) {
+        wants_all[i] = true;
+      }
+    }
+  }
 
   // WHERE conjuncts owned entirely by one table get pushed down — except
   // for tables on the nullable (right) side of a LEFT JOIN: reducing such

@@ -20,6 +20,7 @@ const char* StatusCodeName(StatusCode code) noexcept {
     case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
     case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case StatusCode::kIoError: return "IO_ERROR";
+    case StatusCode::kOutOfRange: return "OUT_OF_RANGE";
   }
   return "UNKNOWN";
 }

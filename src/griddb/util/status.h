@@ -37,6 +37,8 @@ enum class StatusCode {
   /// callers that own durability degrade differently — the batch service
   /// pauses instead of failing jobs, journal writers fail-stop.
   kIoError,
+  /// A value left the range of its type (SUM over int64 overflowed).
+  kOutOfRange,
 };
 
 /// Human-readable name of a StatusCode ("OK", "NOT_FOUND", ...).
@@ -114,6 +116,9 @@ inline Status ResourceExhausted(std::string msg) {
 }
 inline Status IoError(std::string msg) {
   return {StatusCode::kIoError, std::move(msg)};
+}
+inline Status OutOfRange(std::string msg) {
+  return {StatusCode::kOutOfRange, std::move(msg)};
 }
 
 /// Value-or-Status. Access to value() on an error result asserts.

@@ -438,8 +438,8 @@ TEST(MapTableSourceTest, ServesNamedResultSets) {
   rs.columns = {"a"};
   rs.rows = {{Value(int64_t{1})}};
   source.Add("part", std::move(rs));
-  EXPECT_TRUE(source.GetTable("PART").ok());
-  EXPECT_FALSE(source.GetTable("other").ok());
+  EXPECT_TRUE(source.Borrow("PART").ok());
+  EXPECT_FALSE(source.Borrow("other").ok());
 
   auto select = sql::ParseSelect("SELECT a FROM part",
                                  sql::Dialect::For(sql::Vendor::kSqlite));

@@ -134,7 +134,7 @@ TEST(TableTest, InsertAndScan) {
   ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value(10.5), Value("muon")}).ok());
   ASSERT_TRUE(table.Insert({Value(int64_t{2}), Value(11.5), Value("e")}).ok());
   EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(table.rows()[0][1].AsDoubleStrict(), 10.5);
+  EXPECT_DOUBLE_EQ(table.GetRow(0)[1].AsDoubleStrict(), 10.5);
 }
 
 TEST(TableTest, RejectsDuplicatePrimaryKey) {
@@ -143,27 +143,6 @@ TEST(TableTest, RejectsDuplicatePrimaryKey) {
   Status dup = table.Insert({Value(int64_t{1}), Value(2.0), Value("b")});
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(table.num_rows(), 1u);
-}
-
-TEST(TableTest, SecondaryIndexLookup) {
-  Table table(EventSchema());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table
-                    .Insert({Value(int64_t{i}), Value(i * 0.5),
-                             Value(i % 2 == 0 ? "even" : "odd")})
-                    .ok());
-  }
-  ASSERT_TRUE(table.CreateIndex("tag").ok());
-  EXPECT_TRUE(table.HasIndexOn("tag"));
-  EXPECT_EQ(table.Lookup("tag", Value("even")).size(), 50u);
-  // Lookup result matches a scan-based lookup on an unindexed column.
-  EXPECT_EQ(table.Lookup("event_id", Value(int64_t{7})),
-            std::vector<size_t>{7});
-}
-
-TEST(TableTest, IndexOnMissingColumnFails) {
-  Table table(EventSchema());
-  EXPECT_EQ(table.CreateIndex("ghost").code(), StatusCode::kNotFound);
 }
 
 TEST(TableTest, UpdateRowReindexes) {
@@ -193,14 +172,6 @@ TEST(TableTest, DeleteRows) {
   EXPECT_EQ(table.num_rows(), 7u);
   // Deleted keys can be reinserted.
   EXPECT_TRUE(table.Insert({Value(int64_t{3}), Value(0.0), Value("t")}).ok());
-}
-
-TEST(TableTest, TruncateKeepsSchema) {
-  Table table(EventSchema());
-  ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value(1.0), Value("a")}).ok());
-  table.Truncate();
-  EXPECT_EQ(table.num_rows(), 0u);
-  EXPECT_TRUE(table.Insert({Value(int64_t{1}), Value(1.0), Value("a")}).ok());
 }
 
 // ---------- ResultSet ----------

@@ -182,10 +182,12 @@ struct FederationFixture : public ::testing::Test {
   }
 
   std::unique_ptr<UnityDriver> MakeDriver(bool enhanced,
-                                          bool parallel = true) {
+                                          bool parallel = true,
+                                          bool projection_pushdown = true) {
     UnityDriverOptions options;
     options.enhanced = enhanced;
     options.parallel_subqueries = parallel;
+    options.projection_pushdown = projection_pushdown;
     options.client_host = "local";
     auto driver = std::make_unique<UnityDriver>(
         &catalog, &network, net::ServiceCosts::Default(), options);
@@ -405,6 +407,35 @@ TEST_F(FederationFixture, CountStarAcrossTwoDatabases) {
       nullptr);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0].AsInt64Strict(), 5);
+}
+
+TEST_F(FederationFixture, CountStarKeepsProjectionPushdown) {
+  // COUNT(*)'s star argument reads no column: only a select-list star
+  // may fetch whole tables.
+  const std::string query =
+      "SELECT r.detector, COUNT(*) AS n FROM events e JOIN runs r "
+      "ON e.run_id = r.run_id GROUP BY r.detector";
+  auto pushed_driver = MakeDriver(true);
+  auto plan = pushed_driver->Plan(query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->subqueries.size(), 2u);
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(plan->subqueries[0].fields, (Fields{{"RUN_ID", "run_id"}}));
+  EXPECT_EQ(plan->subqueries[1].fields,
+            (Fields{{"DETECTOR", "detector"}, {"RUN_ID", "run_id"}}));
+
+  auto full_driver = MakeDriver(true, true, /*projection_pushdown=*/false);
+  auto full_plan = full_driver->Plan(query);
+  ASSERT_TRUE(full_plan.ok());
+  EXPECT_EQ(full_plan->subqueries[0].fields.size(), 4u);
+
+  auto pushed = pushed_driver->Query(query, nullptr);
+  auto full = full_driver->Query(query, nullptr);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(pushed->columns, full->columns);
+  EXPECT_EQ(pushed->rows, full->rows);
+  ASSERT_EQ(pushed->rows.size(), 3u);
 }
 
 TEST_F(FederationFixture, DescribePlanShowsBothShapes) {

@@ -12,12 +12,19 @@
 // Coverage comes from a seeded random query generator over tables with
 // NULLs, mixed-type columns and duplicate join keys, plus deterministic
 // edge cases around batch boundaries, empty inputs and HAVING-dropped
-// groups, and a threaded leg for the TSan build.
+// groups, and a threaded leg for the TSan build. The database leg runs
+// the vectorized executor over an engine::Database, whose tables it reads
+// as stored typed columns in place, against the reference executor over
+// the same rows held in a MapTableSource.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <thread>
 
+#include "griddb/engine/database.h"
 #include "griddb/engine/select_executor.h"
 #include "griddb/sql/parser.h"
 #include "griddb/util/rng.h"
@@ -78,18 +85,22 @@ bool ValueExactEq(const Value& a, const Value& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Runs one SQL text against both executors and checks the contract.
+using VectorizedRun =
+    std::function<Result<ResultSet>(const sql::SelectStmt&, const ExecOptions&)>;
+
+/// Runs one SQL text through the reference executor over `oracle` and
+/// through `run` (the vectorized executor) and checks the contract.
 /// Returns true when both succeeded (useful for counting coverage).
-bool CheckParity(const std::string& sql_text, const TableSource& source,
-                 size_t batch_rows = 1024) {
+bool CheckParityWith(const std::string& sql_text, const TableSource& oracle,
+                     const VectorizedRun& run, size_t batch_rows) {
   auto dialect = sql::Dialect::For(sql::Vendor::kMySql);
   auto stmt = sql::ParseSelect(sql_text, dialect);
   if (!stmt.ok()) return false;  // generator produced unparseable SQL
 
-  Result<ResultSet> ref = ExecuteSelectReferenceRows(**stmt, source);
+  Result<ResultSet> ref = ExecuteSelectReferenceRows(**stmt, oracle);
   ExecOptions opts;
   opts.batch_rows = batch_rows;
-  Result<ResultSet> vec = ExecuteSelect(**stmt, source, opts);
+  Result<ResultSet> vec = run(**stmt, opts);
 
   if (ref.ok() != vec.ok()) {
     ADD_FAILURE() << "divergence on: " << sql_text << "\n  reference: "
@@ -102,6 +113,17 @@ bool CheckParity(const std::string& sql_text, const TableSource& source,
   EXPECT_TRUE(ResultsIdentical(*ref, *vec)) << "query: " << sql_text
                                             << " batch_rows=" << batch_rows;
   return true;
+}
+
+/// Both executors over the same source.
+bool CheckParity(const std::string& sql_text, const TableSource& source,
+                 size_t batch_rows = 1024) {
+  return CheckParityWith(
+      sql_text, source,
+      [&source](const sql::SelectStmt& stmt, const ExecOptions& opts) {
+        return ExecuteSelect(stmt, source, opts);
+      },
+      batch_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,6 +182,60 @@ MapTableSource MakeSource(size_t events, size_t runs, uint64_t seed) {
   source.Add("events", EventsTable(events, rng));
   source.Add("runs", RunsTable(runs, rng));
   return source;
+}
+
+/// The generated tables loaded into an engine::Database (typed stored
+/// columns), plus the oracle's copy: the same rows with the schema's own
+/// coercion applied (runs.weight's int cells become doubles), so both hold
+/// the same data without reading the stored columns back.
+struct DbFixture {
+  Database db{"parity", sql::Vendor::kMySql};
+  MapTableSource oracle;
+
+  void Load(const std::string& name, std::vector<storage::ColumnDef> columns,
+            ResultSet rows) {
+    storage::TableSchema schema(name, std::move(columns));
+    for (Row& row : rows.rows) {
+      ASSERT_TRUE(schema.CoerceRow(row).ok());
+    }
+    ASSERT_TRUE(db.CreateTable(schema).ok());
+    ASSERT_TRUE(db.InsertRows(name, rows.rows).ok());
+    oracle.Add(name, std::move(rows));
+  }
+
+  bool Check(const std::string& sql_text, size_t batch_rows = 1024) {
+    return CheckParityWith(
+        sql_text, oracle,
+        [this](const sql::SelectStmt& stmt, const ExecOptions& opts) {
+          return db.ExecuteSelect(stmt, opts);
+        },
+        batch_rows);
+  }
+};
+
+storage::ColumnDef Col(const char* name, storage::DataType type) {
+  storage::ColumnDef def;
+  def.name = name;
+  def.type = type;
+  return def;
+}
+
+std::unique_ptr<DbFixture> MakeDbFixture(size_t events, size_t runs,
+                                         uint64_t seed) {
+  using storage::DataType;
+  Rng rng(seed);
+  auto fixture = std::make_unique<DbFixture>();
+  fixture->Load("events",
+                {Col("id", DataType::kInt64), Col("run", DataType::kInt64),
+                 Col("energy", DataType::kDouble),
+                 Col("tag", DataType::kString), Col("flag", DataType::kBool)},
+                EventsTable(events, rng));
+  fixture->Load("runs",
+                {Col("run", DataType::kInt64),
+                 Col("detector", DataType::kString),
+                 Col("weight", DataType::kDouble)},
+                RunsTable(runs, rng));
+  return fixture;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,6 +399,131 @@ TEST(VectorizedParity, RandomizedSmallBatches) {
       CheckParity(gen.Next(), source, batch_rows);
     }
   }
+}
+
+TEST(VectorizedParity, DatabaseRandomizedQueries) {
+  auto fixture = MakeDbFixture(197, 41, 0xfeed);
+  QueryGen gen(0xbeef);
+  size_t both_ok = 0;
+  for (int i = 0; i < 400; ++i) {
+    if (fixture->Check(gen.Next())) ++both_ok;
+  }
+  EXPECT_GT(both_ok, 200u);
+}
+
+TEST(VectorizedParity, DatabaseRandomizedSmallBatches) {
+  auto fixture = MakeDbFixture(83, 17, 0xabba);
+  for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{7}}) {
+    QueryGen gen(0x1234 + batch_rows);
+    for (int i = 0; i < 60; ++i) {
+      fixture->Check(gen.Next(), batch_rows);
+    }
+  }
+}
+
+TEST(VectorizedParity, DatabaseBatchBoundaryRowCounts) {
+  for (size_t n : {size_t{1023}, size_t{1024}, size_t{1025}}) {
+    auto fixture = MakeDbFixture(n, 11, n);
+    fixture->Check("SELECT id, energy FROM events WHERE energy > 50");
+    fixture->Check("SELECT COUNT(*), SUM(energy) FROM events");
+    fixture->Check("SELECT * FROM events ORDER BY energy DESC LIMIT 5");
+    fixture->Check("SELECT run, COUNT(*) FROM events GROUP BY run");
+  }
+}
+
+TEST(VectorizedParity, DatabaseTypedEdgeCells) {
+  using storage::DataType;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  ResultSet edges;
+  edges.columns = {"k", "i", "d", "s"};
+  auto row = [&](int64_t k, Value i, Value d, Value s) {
+    edges.rows.push_back({Value(k), std::move(i), std::move(d), std::move(s)});
+  };
+  // Group 1: -0.0 before 0.0 before NaN (MIN and MAX keep the first
+  // zero; NaN never wins). Group 5: NaN first (it stays).
+  row(1, Value(hi), Value(-0.0), Value("a"));
+  row(1, Value::Null(), Value(0.0), Value("b"));
+  row(1, Value(int64_t{0}), Value(nan), Value("a"));
+  row(2, Value(lo), Value(inf), Value("b"));
+  row(2, Value(int64_t{0}), Value(-inf), Value::Null());
+  row(3, Value(int64_t{1}), Value(1.5), Value("a"));
+  row(3, Value(int64_t{-1}), Value::Null(), Value("c"));
+  row(4, Value::Null(), Value::Null(), Value::Null());
+  row(5, Value(hi), Value(nan), Value("c"));
+  row(5, Value(int64_t{-1}), Value(1.0), Value("a"));
+  DbFixture fixture;
+  fixture.Load("edges",
+               {Col("k", DataType::kInt64), Col("i", DataType::kInt64),
+                Col("d", DataType::kDouble), Col("s", DataType::kString)},
+               edges);
+  for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+    for (const char* q : {
+             "SELECT * FROM edges",
+             "SELECT k, COUNT(*), COUNT(i), COUNT(d), MIN(d), MAX(d), "
+             "SUM(d), AVG(d) FROM edges GROUP BY k",
+             "SELECT k, MIN(i), MAX(i), SUM(i), AVG(i) FROM edges GROUP BY k",
+             "SELECT MIN(i), MAX(i), COUNT(i), MIN(d), MAX(d) FROM edges",
+             "SELECT d, COUNT(*) FROM edges GROUP BY d",
+             "SELECT i, COUNT(*), MIN(d) FROM edges GROUP BY i",
+             "SELECT s, MIN(i), MAX(d), COUNT(s) FROM edges GROUP BY s",
+             "SELECT k, d FROM edges WHERE d > 0",
+             "SELECT k, d FROM edges WHERE d = 0",
+             "SELECT k, i FROM edges WHERE i < 0",
+             "SELECT k FROM edges WHERE d IS NULL",
+             "SELECT a.k, b.k FROM edges a JOIN edges b ON a.i = b.i",
+             "SELECT a.k, b.s FROM edges a LEFT JOIN edges b ON a.d = b.d",
+             // k / 2 is INT64 for even k and DOUBLE for odd k: the key and
+             // argument vectors box, so group and aggregates take the
+             // Value path.
+             "SELECT k / 2, COUNT(*), SUM(k / 2), MIN(k / 2) FROM edges "
+             "GROUP BY k / 2",
+             "SELECT k, SUM(DISTINCT i), COUNT(DISTINCT d) FROM edges "
+             "GROUP BY k",
+             "SELECT k, MAX(d) FROM edges GROUP BY k HAVING COUNT(d) > 1",
+         }) {
+      EXPECT_TRUE(fixture.Check(q, batch_rows)) << q;
+    }
+  }
+  // Stored columns are typed by construction: a VARCHAR column rejects an
+  // INT64 cell (CoerceRow validates before it coerces), so a boxed column
+  // reaches the executor only as a per-cell typed expression, as above.
+  Status boxed = fixture.db.InsertRows(
+      "edges", {{Value(int64_t{6}), Value(int64_t{1}), Value(1.0),
+                 Value(int64_t{7})}});
+  EXPECT_EQ(boxed.code(), StatusCode::kTypeError);
+}
+
+TEST(VectorizedParity, SumOverflowIsAnErrorInBothExecutors) {
+  using storage::DataType;
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  ResultSet t;
+  t.columns = {"g", "v", "w"};
+  t.rows = {{Value(int64_t{1}), Value(hi), Value(1.0)},
+            {Value(int64_t{1}), Value(int64_t{1}), Value(2.0)},
+            {Value(int64_t{2}), Value(int64_t{5}), Value(3.0)}};
+  DbFixture fixture;
+  fixture.Load("t",
+               {Col("g", DataType::kInt64), Col("v", DataType::kInt64),
+                Col("w", DataType::kDouble)},
+               t);
+  auto dialect = sql::Dialect::For(sql::Vendor::kMySql);
+  for (const char* q : {"SELECT SUM(v) FROM t",
+                        "SELECT g, SUM(v) FROM t GROUP BY g"}) {
+    auto stmt = sql::ParseSelect(q, dialect);
+    ASSERT_TRUE(stmt.ok());
+    const Status want = OutOfRange("integer overflow");
+    EXPECT_EQ(ExecuteSelectReferenceRows(**stmt, fixture.oracle).status(),
+              want) << q;
+    EXPECT_EQ(ExecuteSelect(**stmt, fixture.oracle).status(), want) << q;
+    EXPECT_EQ(fixture.db.ExecuteSelect(**stmt).status(), want) << q;
+  }
+  // Not every value is INT64: SUM is a double sum and cannot overflow.
+  EXPECT_TRUE(fixture.Check("SELECT SUM(v + w) FROM t"));
+  // The groups that do not overflow still sum exactly.
+  EXPECT_TRUE(fixture.Check("SELECT g, SUM(v) FROM t WHERE g = 2 GROUP BY g"));
 }
 
 // ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ Shipment Measure(ral::DatabaseCatalog* catalog, net::Network* network,
                    partial.status().ToString().c_str());
       std::exit(1);
     }
-    shipment.bytes += partial->WireSize();
+    shipment.bytes += partial->wire_size;
   }
   shipment.simulated_ms = cost.total_ms();
   return shipment;

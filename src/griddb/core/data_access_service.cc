@@ -677,7 +677,7 @@ std::shared_ptr<const cache::CachedPlan> DataAccessService::PrerenderPlan(
   return cached;
 }
 
-Result<ResultSet> DataAccessService::ExecuteSubQueryRouted(
+Result<storage::ColumnarResult> DataAccessService::ExecuteSubQueryRouted(
     const SubQuery& sub, const cache::RenderedSubQuery& render, net::Cost* cost,
     QueryStats* stats, const CancelToken* cancel) {
   // The fetch itself is one simulated backend round trip; checking once
@@ -691,7 +691,7 @@ Result<ResultSet> DataAccessService::ExecuteSubQueryRouted(
         sub.table.connection, config_.db_user, config_.db_password, cost));
     if (render.pool_form) {
       GRIDDB_ASSIGN_OR_RETURN(
-          ResultSet rs,
+          storage::ColumnarResult rs,
           pool_.Execute(sub.table.connection, render.field_strings,
                         {render.quoted_table}, render.where_string, cost));
       if (stats) ++stats->pool_ral_subqueries;
@@ -700,14 +700,14 @@ Result<ResultSet> DataAccessService::ExecuteSubQueryRouted(
     // Prerender had no catalog entry yet; render inline (cold path).
     const sql::Dialect& dialect = entry.database->dialect();
     GRIDDB_ASSIGN_OR_RETURN(
-        ResultSet rs,
+        storage::ColumnarResult rs,
         pool_.Execute(sub.table.connection, sub.FieldStrings(dialect),
                       {dialect.QuoteIdentifier(sub.table.physical)},
                       sub.WhereString(dialect), cost));
     if (stats) ++stats->pool_ral_subqueries;
     return rs;
   }
-  GRIDDB_ASSIGN_OR_RETURN(ResultSet rs,
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult rs,
                           driver_.ExecuteSubQuery(sub, cost, render.full_sql));
   if (stats) ++stats->jdbc_subqueries;
   return rs;
@@ -792,20 +792,20 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
       GRIDDB_RETURN_IF_ERROR(pool_.InitHandle(
           plan.connection, config_.db_user, config_.db_password, cost));
       GRIDDB_ASSIGN_OR_RETURN(
-          ResultSet rs,
+          storage::ColumnarResult rs,
           pool_.Execute(plan.connection, cached->direct_fields,
                         cached->direct_tables, cached->direct_where, cost));
       if (stats) ++stats->pool_ral_subqueries;
-      return rs;
+      return rs.ToRows();
     }
     // JDBC path for unsupported vendors or queries beyond the RAL form.
     net::Cost jdbc_cost;
     GRIDDB_ASSIGN_OR_RETURN(
-        ResultSet rs,
+        storage::ColumnarResult rs,
         driver_.ExecuteDirect(plan, &jdbc_cost, cached->direct_sql));
     if (cost) cost->AddSequential(jdbc_cost);
     if (stats) ++stats->jdbc_subqueries;
-    return rs;
+    return rs.ToRows();
   }
 
   // Multi-database: route each sub-query, in parallel when enabled.
@@ -830,8 +830,8 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
   // One branch body shared by the parallel and serial paths: probe the
   // per-sub-query result cache (so the unchanged side of a cross-database
   // join is served from memory even when the other side misses), execute
-  // on a miss, insert on success. Cache entries are immutable shared rows;
-  // the partial gets a copy because the merge mutates its input.
+  // on a miss, insert on success. Cache entries are immutable shared rows,
+  // boxed from the partial on insert; a hit's partial is a copy of them.
   auto run_branch = [&](size_t i, Branch& branch) -> Status {
     const SubQuery& sub = plan.subqueries[i];
     const cache::RenderedSubQuery& render = cached->subquery_renders[i];
@@ -876,7 +876,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
       sub_meta.non_cacheable = cancel != nullptr && cancel->cancelled();
       cache_.InsertResult(sub_key, render.cache_id, plan.epoch,
                           {ToLower(sub.table.logical)},
-                          std::make_shared<ResultSet>(*rs), sub_meta);
+                          std::make_shared<ResultSet>(rs->ToRows()), sub_meta);
     }
     branch.partial = std::move(*rs);
     return Status::Ok();
@@ -955,19 +955,33 @@ Result<ResultSet> DataAccessService::ResolveAndMerge(
     const std::function<std::vector<std::string>(size_t)>& substitute_columns,
     net::Cost* cost, QueryStats* stats, const CancelToken* cancel,
     const std::string& tenant) {
-  std::vector<std::pair<std::string, ResultSet>> partials;
-  partials.reserve(branches.size());
+  // The merge materializes every partial in middleware memory; reserve
+  // that footprint against the byte budget so concurrent cross-database
+  // joins cannot grow the heap without bound. Shed (kResourceExhausted)
+  // beats an OOM-killed server. A columnar partial carries the wire size
+  // its transport measured.
+  engine::MapTableSource partials;
+  size_t merge_bytes = 0;
   for (size_t i = 0; i < branches.size(); ++i) {
     Branch& branch = branches[i];
     if (stats) MergeQueryStats(branch.stats, stats);
     if (branch.status.ok()) {
-      partials.emplace_back(names[i], std::move(branch.partial));
+      if (auto* rows = std::get_if<ResultSet>(&branch.partial)) {
+        merge_bytes += rows->WireSize();
+        partials.Add(names[i], std::move(*rows));
+      } else {
+        auto& columns = std::get<storage::ColumnarResult>(branch.partial);
+        merge_bytes += columns.wire_size;
+        partials.Add(names[i], std::move(columns));
+      }
       continue;
     }
     if (!Substitutes(branch.status)) return branch.status;
     // Inner joins against the empty substitute yield no rows; LEFT JOINs
     // NULL-pad.
-    partials.emplace_back(names[i], EmptyPartial(substitute_columns(i)));
+    ResultSet substitute = EmptyPartial(substitute_columns(i));
+    merge_bytes += substitute.WireSize();
+    partials.Add(names[i], std::move(substitute));
     if (stats) {
       ++stats->subqueries_failed;
       stats->subquery_errors.push_back(names[i] + ": " +
@@ -975,20 +989,15 @@ Result<ResultSet> DataAccessService::ResolveAndMerge(
     }
   }
 
-  // The merge materializes every partial in middleware memory; reserve
-  // that footprint against the byte budget so concurrent cross-database
-  // joins cannot grow the heap without bound. Shed (kResourceExhausted)
-  // beats an OOM-killed server. The vectorized merge executor (DESIGN.md
-  // §15) columnarizes the partials into batch buffers that coexist with
-  // the source rows, so the peak is ~2x the wire footprint.
-  size_t merge_bytes = 0;
-  for (const auto& partial : partials) merge_bytes += partial.second.WireSize();
+  // The vectorized merge executor (DESIGN.md §15) builds join and group
+  // buffers beside the partials, so the peak is taken as ~2x the wire
+  // footprint.
   merge_bytes *= 2;
   GRIDDB_ASSIGN_OR_RETURN(AdmissionController::MemoryLease merge_lease,
                           admission_.ReserveMergeMemory(merge_bytes, tenant));
 
   obs::Span merge_span = tracer_.StartSpan("dataaccess.merge");
-  auto merged = unity::MergePartials(merge_stmt, std::move(partials), cancel);
+  auto merged = engine::ExecuteSelect(merge_stmt, partials, cancel);
   if (!merged.ok()) {
     if (merge_span.active()) merge_span.SetError(merged.status().ToString());
     return merged.status();

@@ -328,12 +328,13 @@ class DataAccessService {
       const CancelToken* cancel, const std::string& tenant);
 
   /// One FanOut branch: a sub-query against one mart, or one table fetch
-  /// of a query that mixes local and remote tables.
+  /// of a query that mixes local and remote tables. A mart's partial keeps
+  /// its typed columns; a cache hit or a remote result arrives as rows.
   struct Branch {
     Status status;
     net::Cost cost;
     QueryStats stats;
-    storage::ResultSet partial;
+    std::variant<storage::ResultSet, storage::ColumnarResult> partial;
   };
   /// Whether a failed branch may be replaced by an empty partial: a
   /// cancelled branch follows partial_on_deadline, any other failure
@@ -367,7 +368,7 @@ class DataAccessService {
   /// Routes one planned sub-query: POOL-RAL for supported vendors, JDBC
   /// otherwise (paper §4.6/§4.7). `render` carries the pre-rendered
   /// dialect strings from the (possibly cached) plan.
-  Result<storage::ResultSet> ExecuteSubQueryRouted(
+  Result<storage::ColumnarResult> ExecuteSubQueryRouted(
       const unity::SubQuery& sub, const cache::RenderedSubQuery& render,
       net::Cost* cost, QueryStats* stats, const CancelToken* cancel);
 

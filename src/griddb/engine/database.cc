@@ -34,7 +34,8 @@ class Database::DatabaseTableSource : public TableSource {
 
   // Base tables lend their stored columns in place (the caller holds the
   // database lock for the whole ExecuteSelect call, so they stay valid);
-  // views and catalog tables are materialized for the call.
+  // views (as columns) and catalog tables (as rows) are materialized for
+  // the call.
   Result<BorrowedTable> Borrow(const std::string& name) const override {
     std::string key = ToLower(name);
     auto table_it = db_.tables_.find(key);
@@ -50,8 +51,9 @@ class Database::DatabaseTableSource : public TableSource {
     }
     auto view_it = db_.views_.find(key);
     if (view_it != db_.views_.end()) {
-      GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, db_.RunSelect(*view_it->second));
-      return BorrowedTable::Materialized(std::move(rs));
+      GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                              db_.RunSelect(*view_it->second));
+      return BorrowedTable::Materialized(std::move(result));
     }
     GRIDDB_ASSIGN_OR_RETURN(ResultSet catalog, db_.CatalogTable(ToUpper(name)));
     return BorrowedTable::Materialized(std::move(catalog));
@@ -138,16 +140,23 @@ Result<ResultSet> Database::CatalogTable(const std::string& upper_name) const {
                   name_ + "'");
 }
 
-Result<ResultSet> Database::RunSelect(const sql::SelectStmt& stmt,
-                                      const ExecOptions& opts) const {
+Result<storage::ColumnarResult> Database::RunSelect(
+    const sql::SelectStmt& stmt, const ExecOptions& opts) const {
   DatabaseTableSource source(*this);
-  return griddb::engine::ExecuteSelect(stmt, source, opts);
+  return griddb::engine::ExecuteSelectColumnar(stmt, source, opts);
+}
+
+Result<storage::ColumnarResult> Database::ExecuteSelectColumnar(
+    const sql::SelectStmt& stmt, const ExecOptions& opts) const {
+  std::shared_lock lock(mu_);
+  return RunSelect(stmt, opts);
 }
 
 Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& stmt,
                                           const ExecOptions& opts) const {
-  std::shared_lock lock(mu_);
-  return RunSelect(stmt, opts);
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                          ExecuteSelectColumnar(stmt, opts));
+  return result.ToRows();
 }
 
 Result<ResultSet> Database::Execute(std::string_view sql_text) {
@@ -161,16 +170,27 @@ Result<ResultSet> Database::Execute(std::string_view sql_text,
   return ExecuteLocked(stmt, stats);
 }
 
+Result<storage::ColumnarResult> Database::ExecuteColumnar(
+    std::string_view sql_text) {
+  GRIDDB_ASSIGN_OR_RETURN(sql::Statement stmt,
+                          sql::ParseStatement(sql_text, dialect()));
+  if (const auto* select = std::get_if<std::unique_ptr<sql::SelectStmt>>(&stmt)) {
+    return ExecuteSelectColumnar(**select);
+  }
+  GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, ExecuteLocked(stmt, nullptr));
+  return storage::ColumnarResult::FromRows(rs);
+}
+
 Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
                                           ExecStats* stats) {
   ExecStats local;
   ExecStats& s = stats ? *stats : local;
 
   if (const auto* select = std::get_if<std::unique_ptr<sql::SelectStmt>>(&stmt)) {
-    std::shared_lock lock(mu_);
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(**select));
-    s.rows_returned = rs.num_rows();
-    return rs;
+    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                            ExecuteSelectColumnar(**select));
+    s.rows_returned = result.num_rows();
+    return result.ToRows();
   }
 
   std::unique_lock lock(mu_);
@@ -256,11 +276,12 @@ Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
 
     std::vector<Row> rows;
     if (ins.select) {
-      GRIDDB_ASSIGN_OR_RETURN(ResultSet source_rows, RunSelect(*ins.select));
-      if (source_rows.num_columns() != positions.size()) {
+      GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult selected,
+                              RunSelect(*ins.select));
+      if (selected.columns.size() != positions.size()) {
         return InvalidArgument("INSERT ... SELECT column count mismatch");
       }
-      rows = std::move(source_rows.rows);
+      rows = selected.ToRows().rows;
     } else {
       for (const std::vector<sql::ExprPtr>& value_row : ins.rows) {
         if (value_row.size() != positions.size()) {
@@ -463,7 +484,9 @@ Result<TableSchema> Database::GetSchema(const std::string& table) const {
   // strings is wrong, so derive types by executing with LIMIT 0 semantics.
   auto view_it = views_.find(ToLower(table));
   if (view_it != views_.end()) {
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*view_it->second));
+    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                            RunSelect(*view_it->second));
+    const ResultSet rs = result.ToRows();
     std::vector<storage::ColumnDef> columns;
     for (size_t i = 0; i < rs.columns.size(); ++i) {
       storage::ColumnDef def;

@@ -40,11 +40,16 @@ class Database {
   Result<storage::ResultSet> Execute(std::string_view sql_text);
   Result<storage::ResultSet> Execute(std::string_view sql_text,
                                      ExecStats* stats);
+  /// Execute, with a SELECT's result left in the executor's typed columns
+  /// (what the sub-query transports ship to the federated merge).
+  Result<storage::ColumnarResult> ExecuteColumnar(std::string_view sql_text);
 
   /// Executes an already-parsed SELECT (bypasses dialect parsing; used by
   /// trusted internal callers such as view materialization).
   Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
                                            const ExecOptions& opts = {}) const;
+  Result<storage::ColumnarResult> ExecuteSelectColumnar(
+      const sql::SelectStmt& stmt, const ExecOptions& opts = {}) const;
 
   // -- direct (non-SQL) administration used by loaders and tooling --
 
@@ -73,8 +78,8 @@ class Database {
 
   Result<storage::ResultSet> ExecuteLocked(const sql::Statement& stmt,
                                            ExecStats* stats);
-  Result<storage::ResultSet> RunSelect(const sql::SelectStmt& stmt,
-                                       const ExecOptions& opts = {}) const;
+  Result<storage::ColumnarResult> RunSelect(const sql::SelectStmt& stmt,
+                                            const ExecOptions& opts = {}) const;
   Result<storage::ResultSet> CatalogTable(const std::string& upper_name) const;
 
   std::string name_;

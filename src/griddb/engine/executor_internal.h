@@ -5,8 +5,12 @@
 // ORDER BY comparison. Internal to the engine — not part of its API.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "griddb/engine/eval.h"
@@ -44,30 +48,61 @@ Status CheckDuplicateTables(const sql::SelectStmt& stmt);
 bool StatementHasAggregate(const sql::SelectStmt& stmt,
                            const std::vector<sql::SelectItem>& items);
 
-/// DISTINCT: keeps the first occurrence of each row, preserving order.
-void DedupeRows(std::vector<storage::Row>& rows);
+/// DISTINCT: of the rows in `order` (row indices in output order), the
+/// first occurrence of each distinct row, in order. Two rows are equal
+/// when every pair of cells is NULL on both sides or compares equal under
+/// Value::Compare; `equal(a, b)` decides that, and `hash(row)` (called
+/// once per row) must agree on equal rows.
+template <typename Hash, typename Equal>
+std::vector<uint32_t> FirstOccurrences(const std::vector<uint32_t>& order,
+                                       const Hash& hash, const Equal& equal) {
+  std::vector<uint32_t> kept;
+  std::unordered_map<size_t, std::vector<uint32_t>> seen;  // hash -> rows
+  for (uint32_t r : order) {
+    std::vector<uint32_t>& bucket = seen[hash(r)];
+    if (std::none_of(bucket.begin(), bucket.end(),
+                     [&](uint32_t s) { return equal(s, r); })) {
+      bucket.push_back(r);
+      kept.push_back(r);
+    }
+  }
+  return kept;
+}
 
-/// Applies OFFSET then LIMIT in place.
-void ApplyOffsetLimit(const sql::SelectStmt& stmt,
-                      std::vector<storage::Row>& rows);
+/// The [begin, end) window OFFSET then LIMIT keep of `n` rows.
+std::pair<size_t, size_t> OffsetLimitWindow(const sql::SelectStmt& stmt,
+                                            size_t n);
 
-/// Stable-sorts `rows` by `order_keys` following stmt.order_by
-/// directions. When `top_k` is set, only the first top_k rows of the
-/// sorted order are produced (and `rows` is truncated to top_k); ties
-/// break by original index, so the prefix is exactly the stable-sort
-/// prefix. Used by the vectorized path for ORDER BY + LIMIT.
-void SortRowsByKeys(const sql::SelectStmt& stmt,
-                    const std::vector<std::vector<storage::Value>>& order_keys,
-                    std::vector<storage::Row>& rows,
-                    std::optional<size_t> top_k);
+/// The ORDER BY row order of rows [0, n): a stable sort by `order_keys`
+/// (row-major, stmt.order_by.size() keys per row) following
+/// stmt.order_by directions. When `top_k` is set, only the first top_k
+/// rows of that order are returned; ties break by original index, so the
+/// prefix is exactly the stable-sort prefix (the vectorized path's ORDER
+/// BY + LIMIT).
+std::vector<uint32_t> SortOrder(const sql::SelectStmt& stmt,
+                                const std::vector<storage::Value>& order_keys,
+                                size_t n, std::optional<size_t> top_k);
 
-/// The vectorized executor (vector_executor.cc). Sets `unsupported` and
-/// returns an empty result when the source yields rows the columnar form
-/// cannot represent (narrower than the scope) — the caller then reruns
-/// the reference path, whose semantics are authoritative there.
-Result<storage::ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
-                                                   const TableSource& source,
-                                                   const ExecOptions& opts,
-                                                   bool& unsupported);
+/// Borrows every table `stmt` reads, in FROM/JOIN order (after the
+/// FROM-present and duplicate-name checks).
+Result<std::vector<BorrowedTable>> BorrowTables(const sql::SelectStmt& stmt,
+                                                const TableSource& source);
+
+/// The vectorized executor (vector_executor.cc) over the tables
+/// BorrowTables lent. Sets `unsupported` and returns an empty result when
+/// a row input has rows the columnar form cannot represent (ragged
+/// widths) — the caller then reruns the reference path, whose semantics
+/// are authoritative there.
+Result<storage::ColumnarResult> ExecuteSelectVectorized(
+    const sql::SelectStmt& stmt, const std::vector<BorrowedTable>& tables,
+    const ExecOptions& opts, bool& unsupported);
+
+/// A plain single-table projection of a row input, copied row by row:
+/// when the caller wants rows, columnarizing rows only to box them again
+/// would double the cost. nullopt when `table` is not a row input or the
+/// statement is not such a projection (or its rows are ragged).
+Result<std::optional<storage::ResultSet>> TryRowScan(
+    const sql::SelectStmt& stmt, const BorrowedTable& table,
+    const ExecOptions& opts);
 
 }  // namespace griddb::engine::internal

@@ -5,7 +5,9 @@
 #include "griddb/engine/select_executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <list>
+#include <numeric>
 #include <unordered_map>
 
 #include "griddb/engine/eval.h"
@@ -23,24 +25,47 @@ void MapTableSource::Add(std::string name, ResultSet rs) {
   tables_.emplace_back(std::move(name), std::move(rs));
 }
 
+void MapTableSource::Add(std::string name, storage::ColumnarResult result) {
+  tables_.emplace_back(std::move(name), std::move(result));
+}
+
+namespace {
+/// Lends `rs` without taking ownership.
+BorrowedTable Lend(const ResultSet& rs) {
+  BorrowedTable table;
+  table.columns = rs.columns;
+  table.num_rows = rs.rows.size();
+  table.rows = &rs.rows;
+  return table;
+}
+BorrowedTable Lend(const storage::ColumnarResult& result) {
+  BorrowedTable table;
+  table.columns = result.columns;
+  table.num_rows = result.num_rows();
+  table.stored = &result.batch.cols;
+  return table;
+}
+}  // namespace
+
 Result<BorrowedTable> MapTableSource::Borrow(const std::string& name) const {
-  for (const auto& [table_name, rs] : tables_) {
+  for (const auto& [table_name, partial] : tables_) {
     if (!EqualsIgnoreCase(table_name, name)) continue;
-    BorrowedTable table;
-    table.columns = rs.columns;
-    table.num_rows = rs.rows.size();
-    table.rows = &rs.rows;
-    return table;
+    return std::visit([](const auto& p) { return Lend(p); }, partial);
   }
   return NotFound("table '" + name + "' not found");
 }
 
 BorrowedTable BorrowedTable::Materialized(ResultSet rs) {
-  auto owned = std::make_unique<const ResultSet>(std::move(rs));
-  BorrowedTable table;
-  table.columns = owned->columns;
-  table.num_rows = owned->rows.size();
-  table.rows = &owned->rows;
+  auto owned = std::make_shared<const ResultSet>(std::move(rs));
+  BorrowedTable table = Lend(*owned);
+  table.owned = std::move(owned);
+  return table;
+}
+
+BorrowedTable BorrowedTable::Materialized(storage::ColumnarResult result) {
+  auto owned =
+      std::make_shared<const storage::ColumnarResult>(std::move(result));
+  BorrowedTable table = Lend(*owned);
   table.owned = std::move(owned);
   return table;
 }
@@ -137,68 +162,39 @@ bool StatementHasAggregate(const sql::SelectStmt& stmt,
   return has;
 }
 
-void DedupeRows(std::vector<Row>& rows) {
-  std::vector<Row> unique;
-  std::unordered_map<size_t, std::vector<size_t>> seen;
-  for (Row& row : rows) {
-    size_t h = storage::RowHasher{}(row);
-    bool duplicate = false;
-    for (size_t idx : seen[h]) {
-      const Row& other = unique[idx];
-      if (other.size() != row.size()) continue;
-      bool equal = true;
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (row[i].is_null() != other[i].is_null() ||
-            (!row[i].is_null() && row[i].Compare(other[i]) != 0)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      seen[h].push_back(unique.size());
-      unique.push_back(std::move(row));
-    }
-  }
-  rows = std::move(unique);
-}
-
-void ApplyOffsetLimit(const sql::SelectStmt& stmt, std::vector<Row>& rows) {
+std::pair<size_t, size_t> OffsetLimitWindow(const sql::SelectStmt& stmt,
+                                            size_t n) {
+  size_t begin = 0, end = n;
   if (stmt.offset && *stmt.offset > 0) {
-    size_t skip = std::min<size_t>(rows.size(),
-                                   static_cast<size_t>(*stmt.offset));
-    rows.erase(rows.begin(), rows.begin() + static_cast<long>(skip));
+    begin = std::min<size_t>(n, static_cast<size_t>(*stmt.offset));
   }
-  if (stmt.limit && *stmt.limit >= 0 &&
-      rows.size() > static_cast<size_t>(*stmt.limit)) {
-    rows.resize(static_cast<size_t>(*stmt.limit));
+  if (stmt.limit && *stmt.limit >= 0) {
+    end = std::min(end, begin + static_cast<size_t>(*stmt.limit));
   }
+  return {begin, end};
 }
 
-void SortRowsByKeys(const sql::SelectStmt& stmt,
-                    const std::vector<std::vector<Value>>& order_keys,
-                    std::vector<Row>& rows, std::optional<size_t> top_k) {
-  std::vector<size_t> permutation(rows.size());
-  for (size_t i = 0; i < permutation.size(); ++i) permutation[i] = i;
-  auto before = [&](size_t a, size_t b) {
-    for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-      int cmp = order_keys[a][k].Compare(order_keys[b][k]);
+std::vector<uint32_t> SortOrder(const sql::SelectStmt& stmt,
+                                const std::vector<Value>& order_keys, size_t n,
+                                std::optional<size_t> top_k) {
+  const size_t width = stmt.order_by.size();
+  std::vector<uint32_t> permutation(n);
+  std::iota(permutation.begin(), permutation.end(), 0);
+  auto before = [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < width; ++k) {
+      int cmp = order_keys[a * width + k].Compare(order_keys[b * width + k]);
       if (cmp != 0) {
         return stmt.order_by[k].ascending ? cmp < 0 : cmp > 0;
       }
     }
     return false;
   };
-  if (top_k && *top_k < rows.size()) {
+  if (top_k && *top_k < n) {
     // Top-K selection: tie-break on the original index, which makes the
     // order total and the selected prefix exactly the stable-sort prefix.
     size_t k = *top_k;
     std::partial_sort(permutation.begin(), permutation.begin() + k,
-                      permutation.end(), [&](size_t a, size_t b) {
+                      permutation.end(), [&](uint32_t a, uint32_t b) {
                         if (before(a, b)) return true;
                         if (before(b, a)) return false;
                         return a < b;
@@ -207,10 +203,7 @@ void SortRowsByKeys(const sql::SelectStmt& stmt,
   } else {
     std::stable_sort(permutation.begin(), permutation.end(), before);
   }
-  std::vector<Row> sorted;
-  sorted.reserve(permutation.size());
-  for (size_t i : permutation) sorted.push_back(std::move(rows[i]));
-  rows = std::move(sorted);
+  return permutation;
 }
 
 }  // namespace internal
@@ -414,8 +407,9 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
   ResultSet out;
   out.columns = names;
 
-  // Order keys computed alongside each output row, sorted before LIMIT.
-  std::vector<std::vector<Value>> order_keys;
+  // Order keys computed alongside each output row (row-major), sorted
+  // before LIMIT.
+  std::vector<Value> order_keys;
   bool has_order = !stmt.order_by.empty();
 
   auto eval_order_keys =
@@ -506,7 +500,7 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
     }
 
     out.rows.reserve(groups.size());
-    if (has_order) order_keys.reserve(groups.size());
+    if (has_order) order_keys.reserve(groups.size() * stmt.order_by.size());
     for (auto& [key, group_rows] : groups) {
       if (stmt.having) {
         GRIDDB_ASSIGN_OR_RETURN(Value keep,
@@ -525,7 +519,7 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
       if (has_order) {
         GRIDDB_ASSIGN_OR_RETURN(std::vector<Value> keys,
                                 eval_order_keys(group_rows, nullptr, projected));
-        order_keys.push_back(std::move(keys));
+        std::move(keys.begin(), keys.end(), std::back_inserter(order_keys));
       }
       out.rows.push_back(std::move(projected));
     }
@@ -534,7 +528,7 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
       return InvalidArgument("HAVING requires GROUP BY or aggregates");
     }
     out.rows.reserve(ws.rows.size());
-    if (has_order) order_keys.reserve(ws.rows.size());
+    if (has_order) order_keys.reserve(ws.rows.size() * stmt.order_by.size());
     for (const Row& row : ws.rows) {
       GRIDDB_RETURN_IF_ERROR(cancel_check.Check());
       Row projected;
@@ -546,7 +540,7 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
       if (has_order) {
         GRIDDB_ASSIGN_OR_RETURN(std::vector<Value> keys,
                                 eval_order_keys({}, &row, projected));
-        order_keys.push_back(std::move(keys));
+        std::move(keys.begin(), keys.end(), std::back_inserter(order_keys));
       }
       out.rows.push_back(std::move(projected));
     }
@@ -554,17 +548,71 @@ Result<ResultSet> ExecuteSelectReferenceRows(const sql::SelectStmt& stmt,
 
   // ORDER BY: stable sort on the computed keys.
   if (has_order) {
-    internal::SortRowsByKeys(stmt, order_keys, out.rows, std::nullopt);
+    std::vector<Row> sorted;
+    sorted.reserve(out.rows.size());
+    for (uint32_t i : internal::SortOrder(stmt, order_keys, out.rows.size(),
+                                          std::nullopt)) {
+      sorted.push_back(std::move(out.rows[i]));
+    }
+    out.rows = std::move(sorted);
   }
 
   // DISTINCT (preserves the post-sort order of first occurrences).
   if (stmt.distinct) {
-    internal::DedupeRows(out.rows);
+    std::vector<uint32_t> all(out.rows.size());
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<Row> unique;
+    for (uint32_t r : internal::FirstOccurrences(
+             all,
+             [&](uint32_t row) { return storage::RowHasher{}(out.rows[row]); },
+             [&](uint32_t a, uint32_t b) {
+               for (size_t c = 0; c < out.columns.size(); ++c) {
+                 if (out.rows[a][c].Compare(out.rows[b][c]) != 0) return false;
+               }
+               return true;
+             })) {
+      unique.push_back(std::move(out.rows[r]));
+    }
+    out.rows = std::move(unique);
   }
 
-  internal::ApplyOffsetLimit(stmt, out.rows);
+  auto [begin, end] = internal::OffsetLimitWindow(stmt, out.rows.size());
+  out.rows.resize(end);
+  out.rows.erase(out.rows.begin(), out.rows.begin() + static_cast<long>(begin));
 
   return out;
+}
+
+namespace {
+
+/// The vectorized executor over `tables`, or — when a row input is one
+/// the columnar form cannot represent (ragged widths) — the reference
+/// path, whose semantics are access-dependent there and so authoritative.
+Result<storage::ColumnarResult> RunVectorized(
+    const sql::SelectStmt& stmt, const TableSource& source,
+    const std::vector<BorrowedTable>& tables, const ExecOptions& opts) {
+  bool unsupported = false;
+  Result<storage::ColumnarResult> result =
+      internal::ExecuteSelectVectorized(stmt, tables, opts, unsupported);
+  if (!unsupported) return result;
+  GRIDDB_ASSIGN_OR_RETURN(
+      ResultSet rows, ExecuteSelectReferenceRows(stmt, source, opts.cancel));
+  return storage::ColumnarResult::FromRows(rows);
+}
+
+}  // namespace
+
+Result<storage::ColumnarResult> ExecuteSelectColumnar(
+    const sql::SelectStmt& stmt, const TableSource& source,
+    const ExecOptions& opts) {
+  if (!opts.use_vectorized) {
+    GRIDDB_ASSIGN_OR_RETURN(
+        ResultSet rows, ExecuteSelectReferenceRows(stmt, source, opts.cancel));
+    return storage::ColumnarResult::FromRows(rows);
+  }
+  GRIDDB_ASSIGN_OR_RETURN(std::vector<BorrowedTable> tables,
+                          internal::BorrowTables(stmt, source));
+  return RunVectorized(stmt, source, tables, opts);
 }
 
 Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
@@ -573,16 +621,14 @@ Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
   if (!opts.use_vectorized) {
     return ExecuteSelectReferenceRows(stmt, source, opts.cancel);
   }
-  bool unsupported = false;
-  Result<ResultSet> result =
-      internal::ExecuteSelectVectorized(stmt, source, opts, unsupported);
-  if (unsupported) {
-    // The source yielded rows the columnar form cannot represent (ragged
-    // widths); the row path's semantics are access-dependent there, so it
-    // is authoritative.
-    return ExecuteSelectReferenceRows(stmt, source, opts.cancel);
-  }
-  return result;
+  GRIDDB_ASSIGN_OR_RETURN(std::vector<BorrowedTable> tables,
+                          internal::BorrowTables(stmt, source));
+  GRIDDB_ASSIGN_OR_RETURN(std::optional<ResultSet> rows,
+                          internal::TryRowScan(stmt, tables[0], opts));
+  if (rows) return std::move(*rows);
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                          RunVectorized(stmt, source, tables, opts));
+  return result.ToRows();
 }
 
 Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,

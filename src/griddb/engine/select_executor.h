@@ -9,16 +9,18 @@
 // vectorized executor reads stored table columns in place and works on
 // typed ColumnVector chunks of at most ExecOptions::batch_rows rows (hash
 // join and hash aggregation by gather, typed group and aggregate kernels,
-// top-K ORDER BY under LIMIT), while ExecuteSelectReferenceRows retains
-// the row-at-a-time path as the byte-identical reference for the parity
-// suite, the speedup baseline for bench_ext_vectorized, and the fallback
-// for row inputs the columnar form cannot represent (ragged rows).
-// ResultSet stays the wire-facing boundary: fault-free outputs are
-// byte-identical across both.
+// top-K ORDER BY under LIMIT) and emits typed columns, while
+// ExecuteSelectReferenceRows retains the row-at-a-time path as the
+// byte-identical reference for the parity suite, the speedup baseline for
+// bench_ext_vectorized, and the fallback for row inputs the columnar form
+// cannot represent (ragged rows). ExecuteSelectColumnar returns the
+// executor's columns; ExecuteSelect boxes them into the wire-facing
+// ResultSet once. Fault-free outputs are byte-identical across both.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "griddb/sql/ast.h"
@@ -30,19 +32,20 @@
 namespace griddb::engine {
 
 /// A table lent to one ExecuteSelect call: its column names plus either
-/// its stored typed columns (a Database base table, read in place) or its
-/// rows (a materialized ResultSet: MapTableSource entries, views and
-/// system catalogs). Borrowed pointers stay valid for the call; `owned`
-/// keeps rows the source materialized for this call alive.
+/// typed columns, read in place (a Database base table, a view's result,
+/// a columnar merge partial), or rows (a system catalog, a merge partial
+/// that arrived as rows). Borrowed pointers stay valid for the call;
+/// `owned` keeps what the source materialized for this call alive.
 struct BorrowedTable {
   std::vector<std::string> columns;
   size_t num_rows = 0;
   const std::vector<storage::ColumnVector>* stored = nullptr;
   const std::vector<storage::Row>* rows = nullptr;  // set when !stored
-  std::unique_ptr<const storage::ResultSet> owned;
+  std::shared_ptr<const void> owned;
 
-  /// Lends rows materialized for this call (a view or catalog result).
+  /// Lends a result materialized for this call (a view or catalog).
   static BorrowedTable Materialized(storage::ResultSet rs);
+  static BorrowedTable Materialized(storage::ColumnarResult result);
 };
 
 /// Provides the tables (and views) a SELECT reads.
@@ -53,15 +56,19 @@ class TableSource {
   virtual Result<BorrowedTable> Borrow(const std::string& name) const = 0;
 };
 
-/// Simple TableSource over pre-materialized result sets keyed by name
-/// (case-insensitive). Used by the federated merge step.
+/// Simple TableSource over pre-materialized results keyed by name
+/// (case-insensitive). Used by the federated merge step: columnar
+/// partials are lent as stored columns, row partials (cache hits, remote
+/// results decoded from the wire) as rows.
 class MapTableSource : public TableSource {
  public:
   void Add(std::string name, storage::ResultSet rs);
+  void Add(std::string name, storage::ColumnarResult result);
   Result<BorrowedTable> Borrow(const std::string& name) const override;
 
  private:
-  std::vector<std::pair<std::string, storage::ResultSet>> tables_;
+  using Partial = std::variant<storage::ResultSet, storage::ColumnarResult>;
+  std::vector<std::pair<std::string, Partial>> tables_;
 };
 
 /// Execution knobs.
@@ -79,6 +86,13 @@ struct ExecOptions {
 
 /// Executes a SELECT against `source`. Joins, WHERE, GROUP BY/HAVING,
 /// aggregates, DISTINCT, ORDER BY and LIMIT/OFFSET are all evaluated here.
+/// The result stays in the executor's typed columns.
+Result<storage::ColumnarResult> ExecuteSelectColumnar(
+    const sql::SelectStmt& stmt, const TableSource& source,
+    const ExecOptions& opts = {});
+
+/// ExecuteSelectColumnar, boxed into rows once (a plain projection of a
+/// row input is copied as rows, never columnarized).
 Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
                                          const TableSource& source,
                                          const ExecOptions& opts = {});

@@ -13,9 +13,13 @@
 // aggregates fold per group in row order (typed kernels over int64/double
 // arguments, AggregateValues otherwise); ORDER BY with LIMIT runs top-K
 // selection instead of a full sort. Cancellation is checked once per
-// chunk.
+// chunk. The result stage appends each select item's vector to a typed
+// output column (a plain scan slices the input columns straight into
+// them); ORDER BY, DISTINCT and OFFSET/LIMIT compute the surviving row
+// order, then gather once. Rows are never built here: ExecuteSelect boxes
+// the columns at its boundary.
 //
-// Parity contract: on fault-free inputs the emitted ResultSet is
+// Parity contract: on fault-free inputs the emitted columns box to rows
 // byte-identical to ExecuteSelectReferenceRows. Anything the columnar
 // form cannot evaluate identically falls back — per expression to the
 // shared scalar kernels (vector_eval.cc), per aggregate or GROUP BY key
@@ -23,7 +27,9 @@
 // input is ragged.
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 
 #include "griddb/engine/eval.h"
@@ -36,7 +42,7 @@
 namespace griddb::engine::internal {
 namespace {
 
-using storage::ResultSet;
+using storage::ColumnarResult;
 using storage::Row;
 using storage::Value;
 
@@ -774,102 +780,134 @@ void KeepSurvivors(const std::vector<size_t>& survivors,
   groups = std::move(kept);
 }
 
-/// Fast path for plain projections of a single table (no joins, WHERE,
-/// grouping, ordering or DISTINCT): resolve each output column once, then
-/// copy only the rows LIMIT/OFFSET keeps. This is the ntuple-scan shape —
-/// the reference path re-resolves every column name for every row.
-Result<std::optional<ResultSet>> TryFastScan(const sql::SelectStmt& stmt,
-                                             const BorrowedTable& table,
-                                             const ExecOptions& opts,
-                                             bool& ragged) {
-  Scope scope;
-  scope.AddColumns(stmt.from[0].EffectiveName(), table.columns);
-  std::vector<sql::SelectItem> items;
-  std::vector<std::string> names;
-  GRIDDB_RETURN_IF_ERROR(ExpandStars(stmt, scope, items, names));
-  for (const sql::SelectItem& item : items) {
-    if (item.expr->kind != sql::Expr::Kind::kColumn &&
-        item.expr->kind != sql::Expr::Kind::kLiteral) {
-      return std::optional<ResultSet>();  // general path
-    }
-  }
-
-  ResultSet out;
-  out.columns = std::move(names);
-  if (table.num_rows == 0) return std::optional<ResultSet>(std::move(out));
-
-  size_t width = table.columns.size();
-  struct Slot {
-    size_t index;  // column index, or npos for a literal
-    const Value* literal;
-  };
-  constexpr size_t kLiteralSlot = static_cast<size_t>(-1);
-  std::vector<Slot> slots;
-  slots.reserve(items.size());
-  bool identity = items.size() == width;
-  for (size_t i = 0; i < items.size(); ++i) {
-    const sql::SelectItem& item = items[i];
-    if (item.expr->kind == sql::Expr::Kind::kLiteral) {
-      slots.push_back({kLiteralSlot, &item.expr->literal});
-      identity = false;
-      continue;
-    }
-    GRIDDB_ASSIGN_OR_RETURN(size_t idx, scope.Resolve(item.expr->column_ref));
-    slots.push_back({idx, nullptr});
-    if (idx != i) identity = false;
-  }
-
-  // The reference path projects every row before OFFSET/LIMIT, so rows
-  // narrower than the scope error even when sliced away. Exact-width is
-  // all the columnar form handles; anything else goes to the reference.
-  if (table.rows) {
-    for (size_t r = 0; r < table.num_rows; ++r) {
-      if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-      if ((*table.rows)[r].size() != width) {
-        ragged = true;
-        return std::optional<ResultSet>(ResultSet{});
-      }
-    }
-  }
-
-  size_t start = 0, end = table.num_rows;
-  if (stmt.offset && *stmt.offset > 0) {
-    start = std::min<size_t>(end, static_cast<size_t>(*stmt.offset));
-  }
-  if (stmt.limit && *stmt.limit >= 0) {
-    end = std::min(end, start + static_cast<size_t>(*stmt.limit));
-  }
-
-  if (identity && table.rows) {
-    out.rows.assign(table.rows->begin() + static_cast<long>(start),
-                    table.rows->begin() + static_cast<long>(end));
-    return std::optional<ResultSet>(std::move(out));
-  }
-  out.rows.reserve(end - start);
-  for (size_t r = start; r < end; ++r) {
-    if ((r - start) % 4096 == 0) {
-      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    }
-    Row projected;
-    projected.reserve(slots.size());
-    for (const Slot& slot : slots) {
-      if (slot.index == kLiteralSlot) {
-        projected.push_back(*slot.literal);
-      } else if (table.rows) {
-        projected.push_back((*table.rows)[r][slot.index]);
-      } else {
-        projected.push_back((*table.stored)[slot.index].Get(r));
-      }
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  return std::optional<ResultSet>(std::move(out));
+/// Appends the first `rows` cells of `ref` to `out` (a literal repeats).
+void AppendRef(const VectorRef& ref, size_t rows, ColumnVector& out) {
+  if (!ref.is_literal()) return out.AppendSlice(ref.vec(), 0, rows);
+  for (size_t i = 0; i < rows; ++i) out.Append(ref.literal());
 }
 
 bool IsPlainScanShape(const sql::SelectStmt& stmt) {
   return stmt.from.size() == 1 && stmt.joins.empty() && !stmt.where &&
          stmt.group_by.empty() && !stmt.having && stmt.order_by.empty() &&
          !stmt.distinct;
+}
+
+/// A plain projection of a single table (no joins, WHERE, grouping,
+/// ordering or DISTINCT) resolved once against the table: per select
+/// item the column it copies (npos for a literal), and the OFFSET/LIMIT
+/// window. This is the ntuple-scan shape and every federated
+/// sub-query's; the reference path re-resolves every column name for
+/// every row.
+struct ScanPlan {
+  std::vector<sql::SelectItem> items;
+  std::vector<std::string> names;
+  std::vector<size_t> indexes;
+  size_t begin = 0, end = 0;
+};
+
+/// Plans `stmt` as a plain scan of `table`; nullopt when it is not one or
+/// an item is not a bare column or literal. The reference path projects
+/// every row before OFFSET/LIMIT, so rows narrower than the scope error
+/// even when sliced away: a row input whose rows are not all exactly as
+/// wide as the table sets `ragged` instead, and the caller defers to the
+/// reference path.
+Result<std::optional<ScanPlan>> PlanScan(const sql::SelectStmt& stmt,
+                                         const BorrowedTable& table,
+                                         const ExecOptions& opts,
+                                         bool& ragged) {
+  if (!IsPlainScanShape(stmt)) return std::optional<ScanPlan>();
+  Scope scope;
+  scope.AddColumns(stmt.from[0].EffectiveName(), table.columns);
+  ScanPlan plan;
+  GRIDDB_RETURN_IF_ERROR(ExpandStars(stmt, scope, plan.items, plan.names));
+  for (const sql::SelectItem& item : plan.items) {
+    if (item.expr->kind != sql::Expr::Kind::kColumn &&
+        item.expr->kind != sql::Expr::Kind::kLiteral) {
+      return std::optional<ScanPlan>();  // general path
+    }
+  }
+  // Like the reference path, an empty table resolves no column: no row
+  // is ever projected.
+  for (const sql::SelectItem& item : plan.items) {
+    size_t idx = std::string::npos;
+    if (item.expr->kind == sql::Expr::Kind::kColumn && table.num_rows > 0) {
+      GRIDDB_ASSIGN_OR_RETURN(idx, scope.Resolve(item.expr->column_ref));
+    }
+    plan.indexes.push_back(idx);
+  }
+  if (table.rows) {
+    for (size_t r = 0; r < table.num_rows; ++r) {
+      if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+      if ((*table.rows)[r].size() != table.columns.size()) {
+        ragged = true;
+        return std::optional<ScanPlan>();
+      }
+    }
+  }
+  std::tie(plan.begin, plan.end) = OffsetLimitWindow(stmt, table.num_rows);
+  return std::optional<ScanPlan>(std::move(plan));
+}
+
+/// Runs a plain scan of a row input into rows: whole rows are copied
+/// when the projection is the identity, else each row is projected.
+Result<storage::ResultSet> ScanRows(const ScanPlan& plan,
+                                    const BorrowedTable& table,
+                                    const ExecOptions& opts) {
+  storage::ResultSet out;
+  out.columns = plan.names;
+  const auto first = table.rows->begin() + static_cast<long>(plan.begin);
+  const auto last = table.rows->begin() + static_cast<long>(plan.end);
+  bool identity = plan.indexes.size() == table.columns.size();
+  for (size_t i = 0; i < plan.indexes.size() && identity; ++i) {
+    identity = plan.indexes[i] == i;
+  }
+  if (identity) {
+    out.rows.assign(first, last);
+    return out;
+  }
+  out.rows.reserve(plan.end - plan.begin);
+  for (auto it = first; it != last; ++it) {
+    if ((it - first) % 4096 == 0) {
+      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+    }
+    Row projected;
+    projected.reserve(plan.indexes.size());
+    for (size_t i = 0; i < plan.indexes.size(); ++i) {
+      projected.push_back(plan.indexes[i] == std::string::npos
+                              ? plan.items[i].expr->literal
+                              : (*it)[plan.indexes[i]]);
+    }
+    out.rows.push_back(std::move(projected));
+  }
+  return out;
+}
+
+/// Runs a plain scan into typed columns: stored columns are sliced, never
+/// boxed; a row input (a catalog) is scanned as rows and columnarized.
+Result<ColumnarResult> ScanColumns(const ScanPlan& plan,
+                                   const BorrowedTable& table,
+                                   const ExecOptions& opts) {
+  if (table.rows) {
+    GRIDDB_ASSIGN_OR_RETURN(storage::ResultSet rows,
+                            ScanRows(plan, table, opts));
+    return ColumnarResult::FromRows(rows);
+  }
+  ColumnarResult out;
+  out.columns = plan.names;
+  out.batch.cols.resize(plan.items.size());
+  out.batch.rows = plan.end - plan.begin;
+  for (size_t i = 0; i < plan.items.size(); ++i) {
+    ColumnVector& col = out.batch.cols[i];
+    if (plan.indexes[i] != std::string::npos) {
+      col.AppendSlice((*table.stored)[plan.indexes[i]], plan.begin,
+                      out.batch.rows);
+      continue;
+    }
+    for (size_t r = plan.begin; r < plan.end; ++r) {
+      col.Append(plan.items[i].expr->literal);
+    }
+  }
+  return out;
 }
 
 /// ORDER BY key vectors for one output batch. `projected` are the already
@@ -910,45 +948,111 @@ Result<std::vector<const VectorRef*>> OrderKeyRefs(
   return refs;
 }
 
+/// Folds each cell of `col` at the rows in `order` into `hashes[row]`
+/// (storage::RowHasher's FNV fold) straight from the typed payload. Cells
+/// equal under Value::Compare hash alike: one column holds one
+/// representation, and boxed cells use Value::Hash.
+void FoldCellHashes(const storage::ColumnVector& col,
+                    const std::vector<uint32_t>& order,
+                    std::vector<size_t>& hashes) {
+  using Rep = storage::ColumnVector::Rep;
+  for (uint32_t r : order) {
+    size_t h = 0x9ae16a3b2f90404full;  // NULL
+    if (!col.IsNull(r)) {
+      switch (col.rep()) {
+        case Rep::kNone: break;
+        case Rep::kInt64: h = std::hash<int64_t>{}(col.ints()[r]); break;
+        case Rep::kDouble: {
+          double d = col.doubles()[r];
+          if (d == 0.0) d = 0.0;  // -0.0 == 0.0
+          h = std::hash<double>{}(d);
+          break;
+        }
+        case Rep::kBool: h = col.bools()[r]; break;
+        case Rep::kString: h = std::hash<std::string>{}(col.strings()[r]); break;
+        case Rep::kValue: h = col.values()[r].Hash(); break;
+      }
+    }
+    hashes[r] ^= h;
+    hashes[r] *= 1099511628211ull;
+  }
+}
+
+/// Cells `a` and `b` of `col` are both NULL or compare equal under
+/// Value::Compare.
+bool CellsEqual(const storage::ColumnVector& col, uint32_t a, uint32_t b) {
+  using Rep = storage::ColumnVector::Rep;
+  const bool null_a = col.IsNull(a), null_b = col.IsNull(b);
+  if (null_a || null_b) return null_a == null_b;
+  switch (col.rep()) {
+    case Rep::kNone: return true;
+    case Rep::kInt64: return col.ints()[a] == col.ints()[b];
+    case Rep::kDouble: {
+      const double x = col.doubles()[a], y = col.doubles()[b];
+      return !(x < y) && !(x > y);  // Value::Compare's order
+    }
+    case Rep::kBool: return col.bools()[a] == col.bools()[b];
+    case Rep::kString: return col.strings()[a] == col.strings()[b];
+    case Rep::kValue: return col.values()[a].Compare(col.values()[b]) == 0;
+  }
+  return false;
+}
+
 }  // namespace
 
-Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
-                                          const TableSource& source,
-                                          const ExecOptions& opts,
-                                          bool& unsupported) {
-  unsupported = false;
+Result<std::vector<BorrowedTable>> BorrowTables(const sql::SelectStmt& stmt,
+                                                const TableSource& source) {
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
   GRIDDB_RETURN_IF_ERROR(CheckDuplicateTables(stmt));
-
-  // Borrow every table in FROM/JOIN order; `scope` is the full scope the
-  // working set grows into.
-  std::vector<const sql::TableRef*> refs = stmt.AllTables();
   std::vector<BorrowedTable> tables;
-  std::vector<size_t> offsets;
-  Scope scope;
-  for (const sql::TableRef* ref : refs) {
+  for (const sql::TableRef* ref : stmt.AllTables()) {
     GRIDDB_ASSIGN_OR_RETURN(BorrowedTable table, source.Borrow(ref->table));
-    offsets.push_back(scope.size());
-    scope.AddColumns(ref->EffectiveName(), table.columns);
     tables.push_back(std::move(table));
   }
+  return tables;
+}
+
+Result<std::optional<storage::ResultSet>> TryRowScan(
+    const sql::SelectStmt& stmt, const BorrowedTable& table,
+    const ExecOptions& opts) {
+  if (!table.rows) return std::optional<storage::ResultSet>();
+  bool ragged = false;
+  GRIDDB_ASSIGN_OR_RETURN(std::optional<ScanPlan> plan,
+                          PlanScan(stmt, table, opts, ragged));
+  if (!plan) return std::optional<storage::ResultSet>();
+  GRIDDB_ASSIGN_OR_RETURN(storage::ResultSet rows,
+                          ScanRows(*plan, table, opts));
+  Metrics().vectorized_queries->Add(1);
+  return std::optional<storage::ResultSet>(std::move(rows));
+}
+
+Result<ColumnarResult> ExecuteSelectVectorized(
+    const sql::SelectStmt& stmt, const std::vector<BorrowedTable>& tables,
+    const ExecOptions& opts, bool& unsupported) {
+  unsupported = false;
   bool ragged = false;
 
   // Plain single-table scans project straight from the input.
-  if (IsPlainScanShape(stmt)) {
-    GRIDDB_ASSIGN_OR_RETURN(std::optional<ResultSet> fast,
-                            TryFastScan(stmt, tables[0], opts, ragged));
-    if (ragged) {
-      unsupported = true;
-      Metrics().fallbacks->Add(1);
-      return ResultSet{};
-    }
-    if (fast) {
-      Metrics().vectorized_queries->Add(1);
-      return std::move(*fast);
-    }
+  GRIDDB_ASSIGN_OR_RETURN(std::optional<ScanPlan> plan,
+                          PlanScan(stmt, tables[0], opts, ragged));
+  if (plan) {
+    Metrics().vectorized_queries->Add(1);
+    return ScanColumns(*plan, tables[0], opts);
+  }
+  if (ragged) {
+    unsupported = true;
+    Metrics().fallbacks->Add(1);
+    return ColumnarResult{};
   }
 
+  // `scope` is the full scope the working set grows into.
+  std::vector<const sql::TableRef*> refs = stmt.AllTables();
+  std::vector<size_t> offsets;
+  Scope scope;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    offsets.push_back(scope.size());
+    scope.AddColumns(refs[i]->EffectiveName(), tables[i].columns);
+  }
   const std::vector<bool> used = ReferencedColumns(stmt, scope);
 
   // FROM list: first table seeds the working set, remaining cross-join in.
@@ -977,7 +1081,7 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
   if (ragged) {
     unsupported = true;
     Metrics().fallbacks->Add(1);
-    return ResultSet{};
+    return ColumnarResult{};
   }
 
   if (stmt.where) {
@@ -1000,9 +1104,12 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
     top_k = k;
   }
 
-  ResultSet out;
+  // The result stage: one typed output column per select item, plus the
+  // ORDER BY keys (row-major) when there is an ORDER BY.
+  ColumnarResult out;
   out.columns = names;
-  std::vector<std::vector<Value>> order_keys;
+  out.batch.cols.resize(items.size());
+  std::vector<Value> order_keys;
 
   if (has_aggregate) {
     Groups groups;
@@ -1070,30 +1177,21 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
       }
     }
 
-    out.rows.reserve(ngroups);
-    if (has_order) order_keys.reserve(ngroups);
+    for (size_t i = 0; i < items.size(); ++i) {
+      for (Value& v : item_vals[i]) out.batch.cols[i].Append(std::move(v));
+    }
+    out.batch.rows = ngroups;
+    order_keys.reserve(ngroups * key_vals.size());
     for (size_t g = 0; g < ngroups; ++g) {
-      Row projected;
-      projected.reserve(items.size());
-      for (std::vector<Value>& vals : item_vals) {
-        projected.push_back(std::move(vals[g]));
+      for (std::vector<Value>& vals : key_vals) {
+        order_keys.push_back(std::move(vals[g]));
       }
-      if (has_order) {
-        std::vector<Value> keys;
-        keys.reserve(stmt.order_by.size());
-        for (const std::vector<Value>& vals : key_vals) {
-          keys.push_back(vals[g]);
-        }
-        order_keys.push_back(std::move(keys));
-      }
-      out.rows.push_back(std::move(projected));
     }
   } else {
     if (stmt.having) {
       return InvalidArgument("HAVING requires GROUP BY or aggregates");
     }
-    out.rows.reserve(ws.total_rows);
-    if (has_order) order_keys.reserve(ws.total_rows);
+    if (has_order) order_keys.reserve(ws.total_rows * stmt.order_by.size());
     for (const Chunk& chunk : ws.chunks) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
       std::vector<VectorRef> projected;
@@ -1114,28 +1212,55 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
                            return EvalVector(e, ws.scope, chunk);
                          }));
       }
+      for (size_t i = 0; i < items.size(); ++i) {
+        AppendRef(projected[i], chunk.rows, out.batch.cols[i]);
+      }
+      out.batch.rows += chunk.rows;
+      if (!has_order) continue;
       for (size_t i = 0; i < chunk.rows; ++i) {
-        Row row;
-        row.reserve(items.size());
-        for (const VectorRef& ref : projected) row.push_back(ref.At(i));
-        if (has_order) {
-          std::vector<Value> keys;
-          keys.reserve(key_refs.size());
-          for (const VectorRef* ref : key_refs) keys.push_back(ref->At(i));
-          order_keys.push_back(std::move(keys));
-        }
-        out.rows.push_back(std::move(row));
+        for (const VectorRef* ref : key_refs) order_keys.push_back(ref->At(i));
       }
     }
   }
 
-  if (has_order) {
-    SortRowsByKeys(stmt, order_keys, out.rows, top_k);
-  }
+  // ORDER BY, DISTINCT and OFFSET/LIMIT decide which output rows survive
+  // and in which order; the survivors are then gathered once.
+  std::optional<std::vector<uint32_t>> order;  // absent: every row, in order
+  if (has_order) order = SortOrder(stmt, order_keys, out.batch.rows, top_k);
   if (stmt.distinct) {
-    DedupeRows(out.rows);
+    if (!order) {
+      order.emplace(out.batch.rows);
+      std::iota(order->begin(), order->end(), 0);
+    }
+    std::vector<size_t> hashes(out.batch.rows, 1469598103934665603ull);
+    for (const storage::ColumnVector& col : out.batch.cols) {
+      FoldCellHashes(col, *order, hashes);
+    }
+    order = FirstOccurrences(
+        *order, [&](uint32_t r) { return hashes[r]; },
+        [&](uint32_t a, uint32_t b) {
+          for (const storage::ColumnVector& col : out.batch.cols) {
+            if (!CellsEqual(col, a, b)) return false;
+          }
+          return true;
+        });
   }
-  ApplyOffsetLimit(stmt, out.rows);
+  const size_t n = order ? order->size() : out.batch.rows;
+  const auto [begin, end] = OffsetLimitWindow(stmt, n);
+  if (order || begin > 0 || end < n) {
+    storage::RowBatch kept;
+    kept.cols.resize(items.size());
+    for (size_t c = 0; c < items.size(); ++c) {
+      if (order) {
+        kept.cols[c].AppendGather(out.batch.cols[c], order->data() + begin,
+                                  end - begin);
+      } else {
+        kept.cols[c].AppendSlice(out.batch.cols[c], begin, end - begin);
+      }
+    }
+    kept.rows = end - begin;
+    out.batch = std::move(kept);
+  }
 
   Metrics().vectorized_queries->Add(1);
   return out;

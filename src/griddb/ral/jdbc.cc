@@ -15,15 +15,16 @@ Result<std::unique_ptr<JdbcConnection>> JdbcConnection::Open(
       std::move(entry), network, costs, std::move(client_host)));
 }
 
-Result<storage::ResultSet> JdbcConnection::ExecuteQuery(
+Result<storage::ColumnarResult> JdbcConnection::ExecuteQuery(
     const std::string& sql_text, net::Cost* cost) {
-  GRIDDB_ASSIGN_OR_RETURN(storage::ResultSet rs,
-                          entry_.database->Execute(sql_text));
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult rs,
+                          entry_.database->ExecuteColumnar(sql_text));
   // Result shipment crosses the wire, so fault injection applies even for
   // callers that skip cost accounting (a down mart must fail the fetch).
+  rs.wire_size = rs.ComputeWireSize();
   GRIDDB_ASSIGN_OR_RETURN(
       double transfer,
-      network_->WireTransferMs(entry_.host, client_host_, rs.WireSize()));
+      network_->WireTransferMs(entry_.host, client_host_, rs.wire_size));
   if (cost) {
     cost->AddMs(costs_.db_execute_base_ms);
     cost->AddMs(costs_.db_per_row_ms * static_cast<double>(rs.num_rows()));

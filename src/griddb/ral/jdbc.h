@@ -26,9 +26,10 @@ class JdbcConnection {
       const std::string& user, const std::string& password,
       std::string client_host, net::Cost* cost = nullptr);
 
-  /// Executes SQL text (parsed in the target vendor's dialect).
-  Result<storage::ResultSet> ExecuteQuery(const std::string& sql_text,
-                                          net::Cost* cost = nullptr);
+  /// Executes SQL text (parsed in the target vendor's dialect). The
+  /// result keeps the engine's typed columns, with its wire size recorded.
+  Result<storage::ColumnarResult> ExecuteQuery(const std::string& sql_text,
+                                               net::Cost* cost = nullptr);
 
   engine::Database* database() const { return entry_.database; }
   const std::string& connection_string() const {

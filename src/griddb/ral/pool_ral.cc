@@ -6,8 +6,6 @@
 
 namespace griddb::ral {
 
-using storage::ResultSet;
-
 PoolRal::PoolRal(const DatabaseCatalog* catalog, const net::Network* network,
                  net::ServiceCosts costs, std::string client_host)
     : catalog_(catalog),
@@ -54,11 +52,11 @@ size_t PoolRal::NumHandles() const {
   return handles_.size();
 }
 
-Result<ResultSet> PoolRal::Execute(const std::string& connection_string,
-                                   const std::vector<std::string>& select_fields,
-                                   const std::vector<std::string>& tables,
-                                   const std::string& where_clause,
-                                   net::Cost* cost) {
+Result<storage::ColumnarResult> PoolRal::Execute(
+    const std::string& connection_string,
+    const std::vector<std::string>& select_fields,
+    const std::vector<std::string>& tables, const std::string& where_clause,
+    net::Cost* cost) {
   if (!HasHandle(connection_string)) {
     return Unavailable("no POOL-RAL handle for '" + connection_string +
                        "'; call InitHandle first");
@@ -81,13 +79,15 @@ Result<ResultSet> PoolRal::Execute(const std::string& connection_string,
   }
   GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> stmt,
                           sql::ParseSelect(text, dialect));
-  GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, entry.database->ExecuteSelect(*stmt));
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult rs,
+                          entry.database->ExecuteSelectColumnar(*stmt));
 
   // Result shipment crosses the wire, so fault injection applies even for
   // callers that skip cost accounting (a down mart must fail the fetch).
+  rs.wire_size = rs.ComputeWireSize();
   GRIDDB_ASSIGN_OR_RETURN(
       double transfer,
-      network_->WireTransferMs(entry.host, client_host_, rs.WireSize()));
+      network_->WireTransferMs(entry.host, client_host_, rs.wire_size));
   if (cost) {
     cost->AddMs(costs_.db_execute_base_ms);
     cost->AddMs(costs_.db_per_row_ms * static_cast<double>(rs.num_rows()));

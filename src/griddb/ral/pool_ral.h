@@ -40,14 +40,15 @@ class PoolRal {
   size_t NumHandles() const;
 
   /// Paper wrapper method 2: execute a (fields, tables, where) query on
-  /// the database behind `connection_string` and return the 2-D result.
+  /// the database behind `connection_string` and return the 2-D result,
+  /// as the engine's typed columns with their wire size recorded.
   /// Fails (kUnsupported) for vendors outside POOL support and
   /// (kUnavailable) when InitHandle was not called first.
-  Result<storage::ResultSet> Execute(const std::string& connection_string,
-                                     const std::vector<std::string>& select_fields,
-                                     const std::vector<std::string>& tables,
-                                     const std::string& where_clause,
-                                     net::Cost* cost = nullptr);
+  Result<storage::ColumnarResult> Execute(
+      const std::string& connection_string,
+      const std::vector<std::string>& select_fields,
+      const std::vector<std::string>& tables, const std::string& where_clause,
+      net::Cost* cost = nullptr);
 
   /// Schema introspection through the RAL (vendor-neutral).
   Result<std::vector<std::string>> ListTables(

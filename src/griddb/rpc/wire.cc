@@ -75,7 +75,7 @@ uint64_t ReadLE64(const char* p) {
 
 void AppendVarint(uint64_t v, std::string* out) {
   while (v >= 0x80) {
-    out->push_back(static_cast<char>(v & 0x7f | 0x80));
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
     v >>= 7;
   }
   out->push_back(static_cast<char>(v));

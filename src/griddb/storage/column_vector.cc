@@ -215,6 +215,31 @@ size_t ColumnVector::ByteSize() const {
   return bytes;
 }
 
+size_t ColumnVector::WireSize() const {
+  const size_t present = size_ - null_count_;
+  const size_t nulls = null_count_ * Value().WireSize();
+  switch (rep_) {
+    case Rep::kNone: return nulls;
+    case Rep::kInt64: return nulls + present * Value(int64_t{0}).WireSize();
+    case Rep::kDouble: return nulls + present * Value(0.0).WireSize();
+    case Rep::kBool: return nulls + present * Value(false).WireSize();
+    case Rep::kString: {
+      // Null cells hold placeholder strings that are not on the wire.
+      size_t bytes = nulls + present * Value(std::string()).WireSize();
+      for (size_t i = 0; i < size_; ++i) {
+        if (!IsNull(i)) bytes += str_[i].size();
+      }
+      return bytes;
+    }
+    case Rep::kValue: {
+      size_t bytes = 0;  // boxed null cells are Value::Null()
+      for (const Value& v : boxed_) bytes += v.WireSize();
+      return bytes;
+    }
+  }
+  return nulls;
+}
+
 Status AppendRowsToBatch(const std::vector<Row>& rows, size_t start,
                          size_t len, RowBatch& out) {
   const size_t width = out.cols.size();

@@ -14,8 +14,9 @@
 //
 // storage::Table keeps one ColumnVector per schema column, and the
 // executor reads those columns in place. A RowBatch is a set of
-// equally-sized owned ColumnVectors; the binary wire codec builds and
-// reads its result blocks through it.
+// equally-sized owned ColumnVectors: the executor's output (inside a
+// ColumnarResult, result_set.h) and the binary wire codec's result
+// blocks.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +109,10 @@ class ColumnVector {
   /// Approximate resident bytes of payload + bitmap (for the
   /// batch_bytes_peak gauge).
   size_t ByteSize() const;
+
+  /// Sum of Value::WireSize() over the cells, without boxing them: fixed
+  /// widths are counted in O(1), strings and boxed cells one by one.
+  size_t WireSize() const;
 
   // Typed payload access; valid only while rep() matches. Null cells hold
   // unspecified placeholder payloads — consult IsNull first.

@@ -13,11 +13,41 @@ int ResultSet::ColumnIndex(std::string_view name) const {
   return -1;
 }
 
-size_t ResultSet::WireSize() const {
-  size_t total = 16;  // header
+namespace {
+size_t HeaderWireSize(const std::vector<std::string>& columns) {
+  size_t total = 16;
   for (const std::string& c : columns) total += 4 + c.size();
+  return total;
+}
+}  // namespace
+
+size_t ResultSet::WireSize() const {
+  size_t total = HeaderWireSize(columns);
   for (const Row& row : rows) total += RowWireSize(row);
   return total;
+}
+
+size_t ColumnarResult::ComputeWireSize() const {
+  // A row on the wire is its header plus its cells.
+  size_t total = HeaderWireSize(columns) + RowWireSize({}) * batch.rows;
+  for (const ColumnVector& col : batch.cols) total += col.WireSize();
+  return total;
+}
+
+ResultSet ColumnarResult::ToRows() const {
+  ResultSet rs;
+  rs.columns = columns;
+  MaterializeRows(batch.cols, batch.rows, rs.rows);
+  return rs;
+}
+
+Result<ColumnarResult> ColumnarResult::FromRows(const ResultSet& rs) {
+  ColumnarResult out;
+  out.columns = rs.columns;
+  out.batch.cols.resize(rs.columns.size());
+  GRIDDB_RETURN_IF_ERROR(
+      AppendRowsToBatch(rs.rows, 0, rs.rows.size(), out.batch));
+  return out;
 }
 
 std::string ResultSet::ToText(size_t max_rows) const {

@@ -94,7 +94,7 @@ Status UnityDriver::WarmConnection(const std::string& connection) {
   return Status::Ok();
 }
 
-Result<ResultSet> UnityDriver::ExecuteSubQuery(
+Result<storage::ColumnarResult> UnityDriver::ExecuteSubQuery(
     const SubQuery& sub, net::Cost* cost, const std::string& rendered_sql) {
   SubqueriesCounter().Add(1);
   GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
@@ -103,9 +103,8 @@ Result<ResultSet> UnityDriver::ExecuteSubQuery(
   return conn->ExecuteQuery(sub.RenderSql(conn->database()->dialect()), cost);
 }
 
-Result<ResultSet> UnityDriver::ExecuteDirect(const QueryPlan& plan,
-                                             net::Cost* cost,
-                                             const std::string& rendered_sql) {
+Result<storage::ColumnarResult> UnityDriver::ExecuteDirect(
+    const QueryPlan& plan, net::Cost* cost, const std::string& rendered_sql) {
   if (!plan.single_database || !plan.direct_stmt) {
     return Internal("ExecuteDirect requires a single-database plan");
   }
@@ -124,14 +123,18 @@ Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
   if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
   GRIDDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(sql_text));
 
-  if (plan.single_database) return ExecuteDirect(plan, cost);
+  if (plan.single_database) {
+    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                            ExecuteDirect(plan, cost));
+    return result.ToRows();
+  }
 
   // Multi-database: execute sub-queries (in parallel when enabled, else
   // serially and fail-fast), then merge.
   struct Branch {
     Status status;
     net::Cost cost;
-    ResultSet partial;
+    storage::ColumnarResult partial;
   };
   const bool parallel = options_.enhanced && options_.parallel_subqueries;
   std::vector<Branch> branches = FanOut<Branch>(
@@ -147,12 +150,12 @@ Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
       },
       [](const Status&) { return false; },
       ResourceExhausted("sub-query rejected: driver pool full"));
-  std::vector<std::pair<std::string, ResultSet>> partials;
+  engine::MapTableSource partials;
   std::vector<net::Cost> branch_costs;
   for (size_t i = 0; i < branches.size(); ++i) {
     GRIDDB_RETURN_IF_ERROR(branches[i].status);
-    partials.emplace_back(plan.subqueries[i].effective_name,
-                          std::move(branches[i].partial));
+    partials.Add(plan.subqueries[i].effective_name,
+                 std::move(branches[i].partial));
     branch_costs.push_back(branches[i].cost);
   }
   if (cost && parallel) {
@@ -162,8 +165,8 @@ Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
   }
 
   GRIDDB_ASSIGN_OR_RETURN(ResultSet merged,
-                          MergePartials(*plan.merge_stmt, std::move(partials),
-                                        cancel));
+                          engine::ExecuteSelect(*plan.merge_stmt, partials,
+                                                cancel));
   if (cost) {
     cost->AddMs(costs_.integrate_per_row_ms *
                 static_cast<double>(merged.num_rows()));

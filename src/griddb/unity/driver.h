@@ -73,13 +73,14 @@ class UnityDriver {
   /// layer can route sub-queries itself (POOL-RAL vs JDBC). A non-empty
   /// `rendered_sql` is the dialect rendering done already (plan-cache
   /// path: the statement text is memoized per plan, so repeat executions
-  /// and failover re-attempts skip rendering).
-  Result<storage::ResultSet> ExecuteSubQuery(
+  /// and failover re-attempts skip rendering). The partial keeps the
+  /// mart's typed columns for the merge.
+  Result<storage::ColumnarResult> ExecuteSubQuery(
       const SubQuery& sub, net::Cost* cost,
       const std::string& rendered_sql = "");
 
   /// Executes a single-database plan directly (`rendered_sql` as above).
-  Result<storage::ResultSet> ExecuteDirect(
+  Result<storage::ColumnarResult> ExecuteDirect(
       const QueryPlan& plan, net::Cost* cost,
       const std::string& rendered_sql = "");
 

@@ -105,6 +105,8 @@ TEST_F(RalFixture, PoolRalTwoMethodFlow) {
   EXPECT_EQ(rs->columns, (std::vector<std::string>{"sensor", "temp"}));
   EXPECT_EQ(rs->num_rows(), 2u);
   EXPECT_GT(query_cost.total_ms(), 0.0);
+  // The shipped wire size is recorded once, equal to the boxed rows'.
+  EXPECT_EQ(rs->wire_size, rs->ToRows().WireSize());
 }
 
 TEST_F(RalFixture, PoolRalReinitIsCheapNoOp) {
@@ -169,6 +171,7 @@ TEST_F(RalFixture, JdbcConnectionRunsVendorDialect) {
   auto top = (*conn)->ExecuteQuery("SELECT TOP 2 id FROM conditions", nullptr);
   ASSERT_TRUE(top.ok()) << top.status().ToString();
   EXPECT_EQ(top->num_rows(), 2u);
+  EXPECT_EQ(top->wire_size, top->ToRows().WireSize());
   EXPECT_FALSE(
       (*conn)->ExecuteQuery("SELECT id FROM conditions LIMIT 2", nullptr).ok());
 }

@@ -8,6 +8,7 @@
 #include "griddb/storage/stage_file.h"
 #include "griddb/storage/table.h"
 #include "griddb/storage/value.h"
+#include "griddb/util/rng.h"
 
 namespace griddb::storage {
 namespace {
@@ -200,6 +201,94 @@ TEST(ResultSetTest, WireSizeGrowsWithRows) {
   small.rows = {{Value(int64_t{1})}};
   large.rows = std::vector<Row>(100, {Value(int64_t{1})});
   EXPECT_GT(large.WireSize(), small.WireSize());
+}
+
+// ---------- ColumnarResult wire size ----------
+
+// One randomized column's cells. Kinds: 0-3 one type (int64, double, bool,
+// string), 4 all NULL (stays Rep::kNone), 5 mixed types (boxes to
+// Rep::kValue). `null_share` of the cells are NULL.
+std::vector<Value> RandomCells(Rng& rng, int kind, double null_share,
+                               size_t n) {
+  std::vector<Value> cells;
+  for (size_t i = 0; i < n; ++i) {
+    if (kind == 4 || rng.NextDouble() < null_share) {
+      cells.push_back(Value::Null());
+      continue;
+    }
+    int type = kind == 5 ? static_cast<int>(rng.UniformInt(0, 3)) : kind;
+    switch (type) {
+      case 0: cells.push_back(Value(rng.UniformInt(-1000, 1000))); break;
+      case 1: cells.push_back(Value(rng.Uniform(-1e6, 1e6))); break;
+      case 2: cells.push_back(Value(rng.NextDouble() < 0.5)); break;
+      default:
+        cells.push_back(Value(std::string(
+            static_cast<size_t>(rng.UniformInt(0, 12)), 'x')));
+    }
+  }
+  return cells;
+}
+
+// The per-column wire size pins the paper clock: transports charge the
+// transfer of a columnar partial by it, so it must be byte-equal to
+// ResultSet::WireSize() of the same rows.
+TEST(ColumnarResultTest, WireSizeEqualsBoxedRowsProperty) {
+  Rng rng(0xc0ffee);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = trial % 10 == 0 ? 0 : rng.UniformInt(1, 150);
+    const size_t width = rng.UniformInt(1, 6);
+    ResultSet rows;
+    rows.rows.resize(n);
+    ColumnarResult columnar;
+    for (size_t c = 0; c < width; ++c) {
+      const std::string name(static_cast<size_t>(rng.UniformInt(1, 9)), 'c');
+      rows.columns.push_back(name);
+      columnar.columns.push_back(name);
+      const int kind = static_cast<int>(rng.UniformInt(0, 5));
+      const double null_share = rng.NextDouble() < 0.5 ? 0.0 : 0.3;
+      std::vector<Value> cells = RandomCells(rng, kind, null_share, n);
+      ColumnVector col;
+      for (size_t r = 0; r < n; ++r) {
+        rows.rows[r].push_back(cells[r]);
+        col.Append(cells[r]);
+      }
+      // Overwriting a cell with NULL leaves its payload slot behind
+      // (Set); a gathered copy re-lays the payload. Neither may count.
+      if (n > 0 && rng.NextDouble() < 0.3) {
+        size_t r = static_cast<size_t>(rng.UniformInt(0, n - 1));
+        col.Set(r, Value::Null());
+        rows.rows[r].back() = Value::Null();
+      }
+      if (rng.NextDouble() < 0.3) {
+        std::vector<uint32_t> identity(n);
+        for (size_t r = 0; r < n; ++r) identity[r] = static_cast<uint32_t>(r);
+        ColumnVector gathered;
+        gathered.AppendGather(col, identity.data(), n);
+        col = std::move(gathered);
+      }
+      columnar.batch.cols.push_back(std::move(col));
+    }
+    columnar.batch.rows = n;
+    ASSERT_EQ(columnar.ComputeWireSize(), rows.WireSize()) << "trial " << trial;
+    ASSERT_EQ(columnar.ToRows().WireSize(), rows.WireSize())
+        << "trial " << trial;
+  }
+}
+
+TEST(ColumnarResultTest, FromRowsRoundTripsAndRejectsRaggedRows) {
+  ResultSet rs;
+  rs.columns = {"id", "tag"};
+  rs.rows = {{Value(int64_t{1}), Value("a")}, {Value(2.5), Value()}};
+  auto columnar = ColumnarResult::FromRows(rs);
+  ASSERT_TRUE(columnar.ok());
+  EXPECT_EQ(columnar->ComputeWireSize(), rs.WireSize());
+  ResultSet back = columnar->ToRows();
+  EXPECT_EQ(back.columns, rs.columns);
+  ASSERT_EQ(back.rows.size(), 2u);
+  EXPECT_EQ(back.rows[1][0].type(), DataType::kDouble);
+  EXPECT_TRUE(back.rows[1][1].is_null());
+  rs.rows.push_back({Value(int64_t{3})});
+  EXPECT_FALSE(ColumnarResult::FromRows(rs).ok());
 }
 
 // ---------- Stage files ----------

@@ -15,7 +15,10 @@
 // groups, and a threaded leg for the TSan build. The database leg runs
 // the vectorized executor over an engine::Database, whose tables it reads
 // as stored typed columns in place, against the reference executor over
-// the same rows held in a MapTableSource.
+// the same rows held in a MapTableSource. The merge leg does the same for
+// the federated merge: sub-query partials enter a MapTableSource as the
+// executor's typed columns and are read in place, against the reference
+// executor over the same partials boxed into rows.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -649,6 +652,105 @@ TEST(VectorizedParity, ReferencePathOptOut) {
   ASSERT_TRUE(via_opts.ok());
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(ResultsIdentical(*direct, *via_opts));
+}
+
+/// The federated merge's inputs: sub-query partials of `events` and
+/// `runs`, produced by the vectorized executor as typed columns (the form
+/// the sub-query transports ship), and the oracle's copy of the same
+/// partials boxed into rows. `variant` picks the sub-queries so that
+/// every combination below appears: a boxed mixed-type `run / 2` key, an
+/// all-NULL column, an empty partial, and a runs partial missing keys
+/// (LEFT JOIN padding).
+struct MergeFixture {
+  MapTableSource columnar;
+  MapTableSource rows;
+};
+
+MergeFixture MakeMergeFixture(uint64_t variant) {
+  MapTableSource base = MakeSource(150 + variant % 7, 23, 0x5eed + variant);
+  const char* events_where[] = {"", " WHERE energy > 30", " WHERE id < 0"};
+  const char* runs_where[] = {"", " WHERE run < 5", " WHERE run < 0"};
+  const std::string events_sql =
+      std::string("SELECT id, ") + (variant & 1 ? "run / 2 AS run" : "run") +
+      (variant & 2 ? ", NULL AS energy" : ", energy") + ", tag, flag " +
+      "FROM events" + events_where[(variant >> 2) % 3];
+  const std::string runs_sql = std::string("SELECT run, detector, weight ") +
+                               "FROM runs" + runs_where[(variant / 12) % 3];
+  MergeFixture fixture;
+  for (const auto& [name, text] : {std::pair<std::string, std::string>{
+                                       "events", events_sql},
+                                   {"runs", runs_sql}}) {
+    auto stmt = sql::ParseSelect(text, sql::Dialect::For(sql::Vendor::kMySql));
+    EXPECT_TRUE(stmt.ok()) << text;
+    if (!stmt.ok()) continue;
+    auto partial = ExecuteSelectColumnar(**stmt, base);
+    EXPECT_TRUE(partial.ok()) << text;
+    if (!partial.ok()) continue;
+    fixture.rows.Add(name, partial->ToRows());
+    fixture.columnar.Add(name, std::move(*partial));
+  }
+  return fixture;
+}
+
+TEST(VectorizedParity, MergeOverColumnarPartials) {
+  size_t both_ok = 0;
+  bool saw_boxed = false, saw_all_null = false, saw_empty = false;
+  for (uint64_t variant = 0; variant < 36; ++variant) {
+    MergeFixture fixture = MakeMergeFixture(variant);
+    auto events = fixture.columnar.Borrow("events");
+    ASSERT_TRUE(events.ok());
+    ASSERT_NE(events->stored, nullptr) << "columnar partials are lent in place";
+    using Rep = storage::ColumnVector::Rep;
+    saw_boxed |= (*events->stored)[1].rep() == Rep::kValue;
+    saw_all_null |=
+        events->num_rows > 0 && (*events->stored)[2].rep() == Rep::kNone;
+    saw_empty |= events->num_rows == 0;
+
+    QueryGen gen(0x3e70 + variant);
+    for (int i = 0; i < 25; ++i) {
+      const size_t batch_rows = i % 3 == 0 ? 7 : 1024;
+      if (CheckParityWith(
+              gen.Next(), fixture.rows,
+              [&fixture](const sql::SelectStmt& stmt, const ExecOptions& opts) {
+                return ExecuteSelect(stmt, fixture.columnar, opts);
+              },
+              batch_rows)) {
+        ++both_ok;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_boxed);
+  EXPECT_TRUE(saw_all_null);
+  EXPECT_TRUE(saw_empty);
+  EXPECT_GT(both_ok, 450u);
+}
+
+TEST(VectorizedParity, MergeShapesOverColumnarPartials) {
+  // Deterministic merge shapes over the boxed-key, partly-unmatched
+  // variant: LEFT JOIN padding, then ORDER BY / DISTINCT / LIMIT / OFFSET
+  // on the merged output.
+  MergeFixture fixture = MakeMergeFixture(1 + 12);
+  auto check = [&fixture](const std::string& text) {
+    return CheckParityWith(
+        text, fixture.rows,
+        [&fixture](const sql::SelectStmt& stmt, const ExecOptions& opts) {
+          return ExecuteSelect(stmt, fixture.columnar, opts);
+        },
+        1024);
+  };
+  EXPECT_TRUE(check("SELECT events.id, runs.detector FROM events LEFT JOIN "
+                    "runs ON events.run = runs.run ORDER BY events.id"));
+  EXPECT_TRUE(check("SELECT DISTINCT runs.detector, events.run FROM events "
+                    "LEFT JOIN runs ON events.run = runs.run"));
+  EXPECT_TRUE(check("SELECT events.run, runs.weight FROM events JOIN runs ON "
+                    "events.run = runs.run ORDER BY runs.weight DESC, "
+                    "events.id LIMIT 9 OFFSET 4"));
+  EXPECT_TRUE(check("SELECT DISTINCT tag FROM events ORDER BY tag LIMIT 2 "
+                    "OFFSET 1"));
+  EXPECT_TRUE(check("SELECT runs.detector, COUNT(*) AS n, MAX(events.energy) "
+                    "FROM events LEFT JOIN runs ON events.run = runs.run "
+                    "GROUP BY runs.detector ORDER BY n DESC"));
+  EXPECT_TRUE(check("SELECT * FROM events LIMIT 5 OFFSET 3"));
 }
 
 TEST(VectorizedParity, ThreadedMixedQueries) {

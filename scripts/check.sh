@@ -98,7 +98,7 @@ cmake --build /tmp/griddb_asan -j"$(nproc)" --target \
   vectorized_parity_test wire_codec_test \
   fault_fs_test chaos_test \
   storage_test engine_test sql_property_test \
-  unity_test ral_test rpc_test >/dev/null
+  unity_test ral_test rpc_test xml_test >/dev/null
 
 echo "== asan: run =="
 # chaos_test is the bounded chaos seed sweep (tests/chaos_test.cc): the
@@ -109,14 +109,16 @@ echo "== asan: run =="
 # borrowed table columns, whose lifetime ends with the Database lock.
 # unity_test, ral_test and rpc_test cover the sub-query transports that
 # hand typed columns to the merge, the merge reading them in place, and
-# the RPC result conversion that boxes them.
+# the RPC result conversion that boxes them; rpc_test also feeds the
+# XML-RPC pull decoder truncated, malformed and 100,000-deep messages,
+# and xml_test does the same for the XSpec tree parser.
 for t in fault_tolerance_test etl_resume_test integrity_test \
          stage_property_test query_cache_test overload_test \
          tenant_isolation_test batch_service_test \
          vectorized_parity_test wire_codec_test \
          fault_fs_test chaos_test \
          storage_test engine_test sql_property_test \
-         unity_test ral_test rpc_test; do
+         unity_test ral_test rpc_test xml_test; do
   echo "-- $t"
   /tmp/griddb_asan/tests/"$t" >/dev/null
 done

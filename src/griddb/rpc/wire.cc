@@ -181,6 +181,10 @@ constexpr uint64_t kMaxDecodeCount = 1u << 28;
 /// ~1024 rows) while keeping decode work bounded.
 constexpr uint64_t kMaxAllNullOnlyCells = 1u << 22;
 
+/// Nesting cap for arrays, structs and row-wise cells: a frame of 2-byte
+/// one-element arrays must not recurse the decoder off its stack.
+constexpr int kMaxDecodeDepth = 512;
+
 Status CheckCount(uint64_t n, size_t remaining_bytes) {
   if (n > kMaxDecodeCount || n > remaining_bytes) {
     return Corruption("implausible element count in binary frame");
@@ -329,9 +333,10 @@ void EncodeValueImpl(const XmlRpcValue& value, EncodeCtx& ctx,
 }
 
 Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
-                                    const DecodeCtx& ctx);
+                                    const DecodeCtx& ctx, int depth = 0);
 
-Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
+Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset,
+                                       int depth) {
   auto rs = std::make_shared<storage::ResultSet>();
   GRIDDB_ASSIGN_OR_RETURN(rs->columns, ReadSchema(in, offset));
   if (*offset >= in.size()) return Corruption("truncated result-set layout");
@@ -352,7 +357,8 @@ Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
     storage::Row row;
     row.reserve(ncells);
     for (uint64_t c = 0; c < ncells; ++c) {
-      GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue cell, DecodeValueImpl(in, offset, none));
+      GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue cell,
+                              DecodeValueImpl(in, offset, none, depth + 1));
       if (cell.is_empty()) {
         row.push_back(Value::Null());
       } else if (cell.is_int()) {
@@ -373,7 +379,11 @@ Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
 }
 
 Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
-                                    const DecodeCtx& ctx) {
+                                    const DecodeCtx& ctx, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    return Corruption("binary values nest deeper than " +
+                      std::to_string(kMaxDecodeDepth));
+  }
   if (*offset >= in.size()) return Corruption("truncated binary value");
   uint8_t tag = static_cast<uint8_t>(in[(*offset)++]);
   switch (tag) {
@@ -404,7 +414,7 @@ Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
       items.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue item,
-                                DecodeValueImpl(in, offset, ctx));
+                                DecodeValueImpl(in, offset, ctx, depth + 1));
         items.push_back(std::move(item));
       }
       return XmlRpcValue(std::move(items));
@@ -419,13 +429,13 @@ Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
         GRIDDB_ASSIGN_OR_RETURN(std::string_view key,
                                 ReadBytes(in, offset, len));
         GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue member,
-                                DecodeValueImpl(in, offset, ctx));
+                                DecodeValueImpl(in, offset, ctx, depth + 1));
         record[std::string(key)] = std::move(member);
       }
       return XmlRpcValue(std::move(record));
     }
     case kTagResultSet:
-      return DecodeResultSetTlv(in, offset);
+      return DecodeResultSetTlv(in, offset, depth);
     case kTagStreamStub: {
       if (ctx.stream_slot == nullptr || *ctx.stream_slot != nullptr) {
         return Corruption("unexpected stream stub in binary value");

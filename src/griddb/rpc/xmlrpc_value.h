@@ -16,7 +16,6 @@
 
 #include "griddb/storage/result_set.h"
 #include "griddb/util/status.h"
-#include "griddb/xml/xml.h"
 
 namespace griddb::rpc {
 
@@ -75,14 +74,12 @@ class XmlRpcValue {
     return p ? *p : nullptr;
   }
 
-  /// Serializes this value as a <value>...</value> element.
-  xml::Node ToXml() const;
-  static Result<XmlRpcValue> FromXml(const xml::Node& value_node);
-
   /// Appends this value's compact <value>...</value> serialization to
-  /// `out` directly — no Node tree, no per-cell boxing, escaping only
-  /// where string content can need it. Byte-identical to
-  /// xml::Write(ToXml(), {pretty=false, declaration=false}).
+  /// `out` directly — no element tree, no per-cell boxing, escaping only
+  /// where string content can need it. Empty elements are self-closing
+  /// (<string/>, <data/>) and numbers are written as %lld / %.17g would
+  /// write them; wire_codec_test pins these bytes to a generic tree
+  /// writer's output.
   void AppendXml(std::string* out) const;
   /// Upper-bound-ish size estimate for AppendXml (single up-front
   /// reserve; an underestimate merely costs a realloc).
@@ -112,6 +109,13 @@ XmlRpcValue ResultSetToRpc(storage::ResultSet&& rs);
 Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value);
 
 // ---- message codec ----
+//
+// Encoders write straight into one pre-sized string. Decoders pull the
+// message through rpc/xml_reader.h in a single pass and build the
+// XmlRpcValue / RpcRequest directly, with no element tree in between.
+// Character data in <string>, <name>, bare <value> and the header
+// elements arrives verbatim; only whitespace between elements, and
+// around the numeric, boolean and trace scalars, is ignored.
 
 struct RpcRequest {
   std::string method;

@@ -35,7 +35,8 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 
 /// Parses a whole string as a signed 64-bit integer. Rejects partial parses.
 bool ParseInt64(std::string_view s, int64_t* out);
-/// Parses a whole string as a double. Rejects partial parses.
+/// Parses a whole string as a double. Rejects partial parses and overflow;
+/// underflow yields the correctly rounded subnormal or zero.
 bool ParseDouble(std::string_view s, double* out);
 
 /// printf-style formatting into a std::string.

@@ -1,6 +1,7 @@
 #include "griddb/xml/xml.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "griddb/util/strings.h"
 
@@ -60,25 +61,93 @@ std::unique_ptr<Node> Node::Clone() const {
   return copy;
 }
 
-std::string Escape(std::string_view raw) {
+void AppendEscaped(std::string_view raw, std::string* out) {
   // Most content (numbers, identifiers) has nothing to escape: one scan,
-  // no per-character appends.
-  size_t first = raw.find_first_of("&<>\"'");
-  if (first == std::string_view::npos) return std::string(raw);
-  std::string out;
-  out.reserve(raw.size() + 8);
-  out.append(raw, 0, first);
-  for (char c : raw.substr(first)) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
+  // one bulk append.
+  size_t plain = raw.find_first_of("&<>\"'");
+  if (plain == std::string_view::npos) {
+    out->append(raw);
+    return;
+  }
+  out->append(raw, 0, plain);
+  for (size_t i = plain; i < raw.size(); ++i) {
+    switch (raw[i]) {
+      case '&': out->append("&amp;"); break;
+      case '<': out->append("&lt;"); break;
+      case '>': out->append("&gt;"); break;
+      case '"': out->append("&quot;"); break;
+      case '\'': out->append("&apos;"); break;
+      default: out->push_back(raw[i]);
     }
   }
+}
+
+std::string Escape(std::string_view raw) {
+  std::string out;
+  AppendEscaped(raw, &out);
   return out;
+}
+
+namespace {
+
+void AppendUtf8(uint32_t cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+}  // namespace
+
+Status AppendUnescaped(std::string_view raw, std::string* out) {
+  for (size_t i = 0; i < raw.size();) {
+    size_t amp = raw.find('&', i);
+    if (amp == std::string_view::npos) {
+      out->append(raw, i);
+      break;
+    }
+    out->append(raw, i, amp - i);
+    size_t semi = raw.find(';', amp);
+    if (semi == std::string_view::npos) {
+      return griddb::ParseError("unterminated entity");
+    }
+    std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
+    if (entity == "amp") out->push_back('&');
+    else if (entity == "lt") out->push_back('<');
+    else if (entity == "gt") out->push_back('>');
+    else if (entity == "quot") out->push_back('"');
+    else if (entity == "apos") out->push_back('\'');
+    else if (entity.size() > 1 && entity[0] == '#') {
+      const bool hex = entity[1] == 'x' || entity[1] == 'X';
+      std::string_view digits = entity.substr(hex ? 2 : 1);
+      uint32_t code = 0;
+      auto [end, ec] = std::from_chars(digits.data(),
+                                       digits.data() + digits.size(), code,
+                                       hex ? 16 : 10);
+      if (digits.empty() || ec != std::errc() ||
+          end != digits.data() + digits.size() || code == 0 ||
+          code > 0x10FFFF) {
+        return griddb::ParseError("bad character reference &" +
+                                  std::string(entity) + ";");
+      }
+      AppendUtf8(code, out);
+    } else {
+      return griddb::ParseError("unknown entity &" + std::string(entity) + ";");
+    }
+    i = semi + 1;
+  }
+  return Status::Ok();
 }
 
 namespace {
@@ -89,7 +158,7 @@ class Parser {
 
   Result<std::unique_ptr<Node>> ParseDocument() {
     SkipProlog();
-    GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement());
+    GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement(1));
     SkipMisc();
     if (pos_ != input_.size()) {
       return Error("trailing content after document element");
@@ -169,58 +238,15 @@ class Parser {
   Result<std::string> DecodeEntities(std::string_view raw) {
     std::string out;
     out.reserve(raw.size());
-    for (size_t i = 0; i < raw.size();) {
-      if (raw[i] != '&') {
-        out += raw[i++];
-        continue;
-      }
-      size_t semi = raw.find(';', i);
-      if (semi == std::string_view::npos) return Error("unterminated entity");
-      std::string_view entity = raw.substr(i + 1, semi - i - 1);
-      if (entity == "amp") out += '&';
-      else if (entity == "lt") out += '<';
-      else if (entity == "gt") out += '>';
-      else if (entity == "quot") out += '"';
-      else if (entity == "apos") out += '\'';
-      else if (!entity.empty() && entity[0] == '#') {
-        int64_t code = 0;
-        bool parsed =
-            (entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X'))
-                ? [&] {
-                    code = std::strtoll(std::string(entity.substr(2)).c_str(),
-                                        nullptr, 16);
-                    return true;
-                  }()
-                : ParseInt64(entity.substr(1), &code);
-        if (!parsed || code <= 0 || code > 0x10FFFF) {
-          return Error("bad character reference &" + std::string(entity) + ";");
-        }
-        // Encode as UTF-8.
-        uint32_t cp = static_cast<uint32_t>(code);
-        if (cp < 0x80) {
-          out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-          out += static_cast<char>(0xC0 | (cp >> 6));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-          out += static_cast<char>(0xE0 | (cp >> 12));
-          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
-          out += static_cast<char>(0xF0 | (cp >> 18));
-          out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (cp & 0x3F));
-        }
-      } else {
-        return Error("unknown entity &" + std::string(entity) + ";");
-      }
-      i = semi + 1;
-    }
+    Status status = AppendUnescaped(raw, &out);
+    if (!status.ok()) return Error(status.message());
     return out;
   }
 
-  Result<std::unique_ptr<Node>> ParseElement() {
+  Result<std::unique_ptr<Node>> ParseElement(int depth) {
+    if (depth > kMaxDepth) {
+      return Error("elements nest deeper than " + std::to_string(kMaxDepth));
+    }
     if (!Match("<")) return Error("expected '<'");
     GRIDDB_ASSIGN_OR_RETURN(std::string name, ParseName());
     auto node = std::make_unique<Node>(name);
@@ -274,7 +300,8 @@ class Parser {
         return node;
       }
       if (Peek() == '<') {
-        GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> child, ParseElement());
+        GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> child,
+                                ParseElement(depth + 1));
         node->children.push_back(std::move(child));
         continue;
       }
@@ -304,7 +331,7 @@ void WriteNode(const Node& node, const WriteOptions& options, int depth,
     out += ' ';
     out += key;
     out += "=\"";
-    out += Escape(value);
+    AppendEscaped(value, &out);
     out += '"';
   }
   if (node.children.empty() && node.text.empty()) {
@@ -314,12 +341,12 @@ void WriteNode(const Node& node, const WriteOptions& options, int depth,
   }
   out += '>';
   if (node.children.empty()) {
-    out += Escape(node.text);
+    AppendEscaped(node.text, &out);
   } else {
     if (options.pretty) out += '\n';
     if (!node.text.empty()) {
       out += indent;
-      out += Escape(node.text);
+      AppendEscaped(node.text, &out);
       if (options.pretty) out += '\n';
     }
     for (const auto& child : node.children) {

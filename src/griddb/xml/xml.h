@@ -1,11 +1,12 @@
-// Minimal XML document model, parser and writer.
+// Minimal XML document model, parser and writer, plus the escaping
+// helpers every XML reader and writer in the system shares.
 //
-// Used for two wire formats in the system: XSpec schema-specification
-// files (paper §4.4) and Clarens-style XML-RPC messages (paper §4.5 / the
-// web-service interface). Supports elements, attributes, character data,
-// comments and the standard five entities. It does not support DTDs,
-// namespaces or processing instructions beyond the XML declaration, which
-// is skipped; none of those appear in either wire format.
+// The document model serves XSpec schema-specification files (paper
+// §4.4). Clarens-style XML-RPC messages (paper §4.5) do not build a tree:
+// rpc/xml_reader.h pulls them in one pass. Supports elements, attributes,
+// character data, comments and the standard five entities. It does not
+// support DTDs, namespaces or processing instructions beyond the XML
+// declaration, which is skipped; none of those appear in XSpec files.
 #pragma once
 
 #include <map>
@@ -17,6 +18,12 @@
 #include "griddb/util/status.h"
 
 namespace griddb::xml {
+
+/// Element nesting cap shared by every XML reader (Parse below and the
+/// XML-RPC pull reader): a deeper document is a ParseError, never a
+/// stack overflow. XSpec files nest three deep; an XML-RPC value spends
+/// three elements per array level, so this allows ~170 nested arrays.
+inline constexpr int kMaxDepth = 512;
 
 /// An XML element. Character data is normalized into `text` (concatenation
 /// of all text nodes directly under this element, entity-decoded).
@@ -55,7 +62,9 @@ class Node {
 };
 
 /// Parses a complete XML document; returns its root element.
-/// Leading XML declarations, comments and whitespace are skipped.
+/// Leading XML declarations, comments and whitespace are skipped, and each
+/// element's text is whitespace-trimmed (XSpec values never carry
+/// significant edge whitespace). Nesting beyond kMaxDepth is a ParseError.
 Result<std::unique_ptr<Node>> Parse(std::string_view input);
 
 struct WriteOptions {
@@ -70,5 +79,12 @@ std::string Write(const Node& root, const WriteOptions& options = {});
 
 /// Escapes &, <, >, ", ' for use in attribute values / character data.
 std::string Escape(std::string_view raw);
+/// Appends Escape(raw) to `out`; text with nothing to escape is one
+/// bulk append.
+void AppendEscaped(std::string_view raw, std::string* out);
+/// Appends `raw` to `out` with the five named entities and numeric
+/// character references (&#65; &#x41;, emitted as UTF-8) decoded. Any
+/// other or malformed reference is a ParseError naming it.
+Status AppendUnescaped(std::string_view raw, std::string* out);
 
 }  // namespace griddb::xml

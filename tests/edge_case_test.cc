@@ -191,18 +191,18 @@ TEST(RpcEdgeTest, UrlNormalizationMatchesVariants) {
 
 TEST(RpcEdgeTest, EmptyValueAndEmptyContainers) {
   rpc::XmlRpcValue nil;
-  auto round = rpc::XmlRpcValue::FromXml(nil.ToXml());
+  auto round = rpc::DecodeResponse(rpc::EncodeResponse(nil));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_empty());
 
   rpc::XmlRpcValue empty_array((rpc::XmlRpcArray()));
-  round = rpc::XmlRpcValue::FromXml(empty_array.ToXml());
+  round = rpc::DecodeResponse(rpc::EncodeResponse(empty_array));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_array());
   EXPECT_TRUE(round->AsArray().value()->empty());
 
   rpc::XmlRpcValue empty_struct((rpc::XmlRpcStruct()));
-  round = rpc::XmlRpcValue::FromXml(empty_struct.ToXml());
+  round = rpc::DecodeResponse(rpc::EncodeResponse(empty_struct));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_struct());
 }

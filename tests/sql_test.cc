@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "griddb/sql/ast.h"
 #include "griddb/sql/dialect.h"
 #include "griddb/sql/lexer.h"
@@ -44,6 +46,15 @@ TEST(LexerTest, NumberForms) {
   EXPECT_DOUBLE_EQ((*tokens)[2].float_value, 0.5);
   EXPECT_DOUBLE_EQ((*tokens)[3].float_value, 1000.0);
   EXPECT_DOUBLE_EQ((*tokens)[4].float_value, 0.025);
+}
+
+TEST(LexerTest, SubnormalLiteralsParse) {
+  auto tokens = Tokenize("4.9406564584124654e-324 2.2250738585072009e-308");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  EXPECT_EQ((*tokens)[0].float_value,
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_GT((*tokens)[1].float_value, 0.0);
+  EXPECT_FALSE(Tokenize("1e999").ok());  // overflow is still an error
 }
 
 TEST(LexerTest, StringLiteralsWithEscapedQuote) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "griddb/storage/result_set.h"
 #include "griddb/storage/schema.h"
@@ -67,6 +68,10 @@ TEST(ValueTest, FromText) {
   EXPECT_TRUE(Value::FromText("true", DataType::kBool).value().AsBoolStrict());
   EXPECT_EQ(Value::FromText("hi", DataType::kString).value().AsStringStrict(), "hi");
   EXPECT_FALSE(Value::FromText("4x", DataType::kInt64).ok());
+  EXPECT_EQ(Value::FromText("4.9406564584124654e-324", DataType::kDouble)
+                .value()
+                .AsDoubleStrict(),
+            std::numeric_limits<double>::denorm_min());
 }
 
 TEST(ValueTest, WireSizeAccountsPayload) {

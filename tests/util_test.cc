@@ -2,8 +2,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -154,6 +157,39 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_TRUE(ParseDouble("3.25e2", &v));
   EXPECT_DOUBLE_EQ(v, 325.0);
   EXPECT_FALSE(ParseDouble("abc", &v));
+}
+
+TEST(StringsTest, ParseDoubleKeepsSubnormalsRejectsOverflow) {
+  double v = 0;
+  EXPECT_TRUE(ParseDouble("4.9406564584124654e-324", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(ParseDouble("2.2250738585072009e-308", &v));
+  EXPECT_LT(v, std::numeric_limits<double>::min());
+  EXPECT_GT(v, 0.0);
+  EXPECT_TRUE(ParseDouble("-1e-400", &v));  // underflows to -0
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(std::signbit(v));
+  EXPECT_FALSE(ParseDouble("1e400", &v));
+  EXPECT_FALSE(ParseDouble("-1e400", &v));
+}
+
+TEST(StringsTest, EveryFiniteDoublePrintedAsG17ParsesBackBitExact) {
+  // The XML-RPC wire writes doubles as %.17g; whatever it writes must
+  // come back as the same bits, subnormals included.
+  Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    uint64_t bits = rng.Next();
+    if (i % 4 == 0) bits &= 0x800FFFFFFFFFFFFFull;  // force a subnormal
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (!std::isfinite(d)) continue;
+    double back = 0;
+    const std::string text = StrFormat("%.17g", d);
+    ASSERT_TRUE(ParseDouble(text, &back)) << text;
+    uint64_t back_bits;
+    std::memcpy(&back_bits, &back, sizeof(back));
+    ASSERT_EQ(back_bits, bits) << text;
+  }
 }
 
 TEST(StringsTest, StrFormat) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/xmlrpc_tree_writer.h"
 #include "griddb/core/jclarens_server.h"
 #include "griddb/net/fault.h"
 #include "griddb/obs/metrics.h"
@@ -195,6 +197,22 @@ TEST(TlvCodecTest, ScalarsAndNesting) {
   array.emplace_back(std::move(inner));
   XmlRpcValue original((XmlRpcArray(std::move(array))));
   EXPECT_TRUE(TlvRoundTrip(original) == original);
+}
+
+TEST(TlvCodecTest, DeepNestingIsCorruptionNotACrash) {
+  // 200,000 one-element arrays (tag 6, count 1) around a nil (tag 0):
+  // 400 KB that used to recurse the decoder off its stack.
+  std::string frame;
+  for (int i = 0; i < 200000; ++i) frame += "\x06\x01";
+  frame.push_back('\0');
+  size_t offset = 0;
+  auto decoded = wire::DecodeValue(frame, &offset);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+
+  XmlRpcValue deep(int64_t{1});
+  for (int i = 0; i < 100; ++i) deep = XmlRpcValue(XmlRpcArray{deep});
+  EXPECT_TRUE(TlvRoundTrip(deep) == deep);
 }
 
 ResultSet RandomResultSet(Rng& rng, bool allow_ragged) {
@@ -488,18 +506,9 @@ TEST(ColumnarBlockTest, HugeRowCountInTinyFrameRejectsBeforeExpanding) {
 // ---------- XML-RPC byte-identity guard ----------
 
 TEST(ByteIdentityTest, FastPathMatchesTreeWriterExactly) {
-  // The pre-binary encoder, verbatim: generic XML writer over a
-  // methodResponse tree. EncodeResponse (and the native result-set
-  // value variant) must keep producing these exact bytes.
-  auto tree_writer = [](const XmlRpcValue& value) {
-    xml::Node root("methodResponse");
-    xml::Node& param = root.AddChild("params").AddChild("param");
-    param.children.push_back(std::make_unique<xml::Node>(value.ToXml()));
-    xml::WriteOptions options;
-    options.pretty = false;
-    return xml::Write(root, options);
-  };
-
+  // The direct encoders must keep producing exactly what the generic
+  // element-tree writer produces (bench/xmlrpc_tree_writer.h), for
+  // responses, requests and faults alike.
   Rng rng(31);
   for (int trial = 0; trial < 30; ++trial) {
     ResultSet rs = RandomResultSet(rng, /*allow_ragged=*/trial % 4 == 0);
@@ -507,14 +516,45 @@ TEST(ByteIdentityTest, FastPathMatchesTreeWriterExactly) {
     out["rows"] = static_cast<int64_t>(rs.rows.size());
     out["result"] = ResultSetToRpc(ResultSet(rs));
     XmlRpcValue value(std::move(out));
-    EXPECT_EQ(EncodeResponse(value), tree_writer(value)) << "trial " << trial;
+    EXPECT_EQ(EncodeResponse(value), bench::TreeWriterResponse(value))
+        << "trial " << trial;
+
+    RpcRequest request;
+    request.method = trial % 5 == 0 ? "" : "dataaccess.query";
+    request.params.emplace_back("SELECT <x> & 'y'");
+    if (trial % 2 == 0) request.params.push_back(value);
+    if (trial % 3 == 0) request.session_token = "tok-" + std::to_string(trial);
+    if (trial % 3 == 1) {
+      request.trace_id = rng.Next() | 1;
+      request.parent_span_id = rng.Next();
+    }
+    if (trial % 4 == 1) request.deadline_ms = rng.NextDouble() * 5000;
+    if (trial % 4 == 2) request.tenant = "cms & \"atlas\"";
+    if (trial % 4 == 3) request.wire_accept = "binary,lz4,stream";
+    EXPECT_EQ(EncodeRequest(request), bench::TreeWriterRequest(request))
+        << "trial " << trial;
+  }
+  EXPECT_EQ(EncodeRequest(RpcRequest{}), bench::TreeWriterRequest({}));
+
+  // Scalars, strings needing escapes and non-finite / subnormal doubles
+  // take the same fast path.
+  for (const XmlRpcValue& v :
+       {XmlRpcValue(int64_t{-7}), XmlRpcValue(INT64_MIN),
+        XmlRpcValue(INT64_MAX), XmlRpcValue(2.5), XmlRpcValue(-0.0),
+        XmlRpcValue(1e300), XmlRpcValue(4.9406564584124654e-324),
+        XmlRpcValue(std::numeric_limits<double>::infinity()),
+        XmlRpcValue(-std::numeric_limits<double>::quiet_NaN()),
+        XmlRpcValue(true), XmlRpcValue("a <b> & \"c\" 'd'"),
+        XmlRpcValue(""), XmlRpcValue(), XmlRpcValue(XmlRpcArray{}),
+        XmlRpcValue(XmlRpcStruct{}),
+        XmlRpcValue(XmlRpcStruct{{"", XmlRpcValue(" ")}})}) {
+    EXPECT_EQ(EncodeResponse(v), bench::TreeWriterResponse(v));
   }
 
-  // Scalars and strings needing escapes take the same fast path.
-  for (const XmlRpcValue& v :
-       {XmlRpcValue(int64_t{-7}), XmlRpcValue(2.5), XmlRpcValue(true),
-        XmlRpcValue("a <b> & \"c\" 'd'"), XmlRpcValue()}) {
-    EXPECT_EQ(EncodeResponse(v), tree_writer(v));
+  for (const Status& fault :
+       {NotFound("no such table 'x'"), Internal("a <b> & \"c\""),
+        ResourceExhausted(""), Status(StatusCode::kOutOfRange, " pad ")}) {
+    EXPECT_EQ(EncodeFault(fault), bench::TreeWriterFault(fault));
   }
 }
 
@@ -589,6 +629,59 @@ TEST_F(WireRpcFixture, HandshakeMatrixFallsBackWherever) {
         << "pref " << cell.client_pref << " caps " << cell.server_caps;
   }
   server.set_wire_caps(wire::kAllCaps);
+}
+
+TEST_F(WireRpcFixture, EveryStatusCodeCrossesEveryPathByteExact) {
+  // Each error code and its message must arrive exactly as the handler
+  // returned it: over XML-RPC, over a binary-negotiated session (faults
+  // always travel as XML) and through a relay server that forwards the
+  // call and re-encodes the fault it got back.
+  (void)server.RegisterMethod(
+      "fail.with",
+      [](const XmlRpcArray& params, CallContext& ctx) -> Result<XmlRpcValue> {
+        (void)ctx;
+        GRIDDB_ASSIGN_OR_RETURN(int64_t code, params.at(0).AsInt());
+        GRIDDB_ASSIGN_OR_RETURN(std::string message, params.at(1).AsString());
+        return Status(static_cast<StatusCode>(code), message);
+      });
+  network.AddHost("relay-host");
+  RpcServer relay("clarens://relay-host:8080/clarens", &transport);
+  RpcClient upstream(&transport, "relay-host",
+                     "clarens://server-host:8080/clarens");
+  upstream.set_wire_preference(wire::kAllCaps);
+  (void)relay.RegisterMethod(
+      "relay.fail",
+      [&upstream](const XmlRpcArray& params,
+                  CallContext& ctx) -> Result<XmlRpcValue> {
+        (void)ctx;
+        return upstream.Call("fail.with", params, nullptr);
+      });
+
+  for (int c = static_cast<int>(StatusCode::kInvalidArgument);
+       c <= static_cast<int>(StatusCode::kOutOfRange); ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    const Status want(code, std::string(StatusCodeName(code)) +
+                                ": \t table 'x' <gone> & \"y\" " +
+                                std::to_string(c) + " ");
+    for (uint32_t preference : {0u, uint32_t{wire::kAllCaps}}) {
+      std::unique_ptr<RpcClient> direct = MakeClient(preference);
+      RpcClient via_relay(&transport, "client-host",
+                          "clarens://relay-host:8080/clarens");
+      via_relay.set_wire_preference(preference);
+      for (RpcClient* client : {direct.get(), &via_relay}) {
+        const std::string method =
+            client == direct.get() ? "fail.with" : "relay.fail";
+        XmlRpcArray params;
+        params.emplace_back(int64_t{c});
+        params.emplace_back(want.message());
+        auto got = client->Call(method, std::move(params), nullptr);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status(), want)
+            << method << " pref " << preference << ": "
+            << got.status().ToString();
+      }
+    }
+  }
 }
 
 TEST_F(WireRpcFixture, CrossCodecResultsAreEqual) {

@@ -138,6 +138,33 @@ TEST(XmlNodeTest, CloneIsDeep) {
   EXPECT_EQ(copy->ChildText("b"), "1");
 }
 
+TEST(XmlParseTest, NestingIsCappedNotACrash) {
+  auto nest = [](int levels) {
+    std::string doc;
+    for (int i = 0; i < levels; ++i) doc += "<n>";
+    for (int i = 0; i < levels; ++i) doc += "</n>";
+    return doc;
+  };
+  EXPECT_TRUE(Parse(nest(kMaxDepth)).ok());
+  auto too_deep = Parse(nest(kMaxDepth + 1));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kParseError);
+  auto hostile = Parse(nest(100000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_NE(hostile.status().message().find("nest deeper"), std::string::npos)
+      << hostile.status().ToString();
+}
+
+TEST(XmlParseTest, BadCharacterReferencesRejected) {
+  for (const char* bad : {"<v>&#;</v>", "<v>&#x;</v>", "<v>&#x41zz;</v>",
+                          "<v>&#0;</v>", "<v>&#x110000;</v>", "<v>&amp</v>"}) {
+    EXPECT_FALSE(Parse(bad).ok()) << bad;
+  }
+  std::string out;
+  ASSERT_TRUE(AppendUnescaped("&#xE9;&#8364;&#x1F600;", &out).ok());
+  EXPECT_EQ(out, "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+}
+
 TEST(XmlParseTest, WhitespaceOnlyTextIsTrimmed) {
   auto doc = Parse("<a>\n  <b>x</b>\n</a>");
   ASSERT_TRUE(doc.ok());

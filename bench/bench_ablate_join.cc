@@ -26,8 +26,8 @@ engine::MapTableSource MakeSource(int64_t rows) {
         {storage::Value(rows - 1 - i), storage::Value(rng.Gaussian())});
   }
   engine::MapTableSource source;
-  source.Add("l", std::move(left));
-  source.Add("r", std::move(right));
+  source.Add("l", storage::ColumnarResult::FromRows(left).value());
+  source.Add("r", storage::ColumnarResult::FromRows(right).value());
   return source;
 }
 

@@ -149,6 +149,6 @@ int main() {
     return 1;
   }
   std::printf("merged result (%.0f ms simulated):\n%s", cost.total_ms(),
-              rs->ToText().c_str());
+              rs->ToRows().ToText().c_str());
   return 0;
 }

@@ -23,6 +23,16 @@ scripts/check_metrics_docs.sh
 echo "== docs: link + section reference gate =="
 scripts/check_docs_links.sh
 
+echo "== design: one executor, one input form =="
+# The engine reads typed columns only; the row-at-a-time reference
+# executor is the parity oracle under tests/ (docs/ENGINE.md). No file
+# under src/ may bring back the reference, its executor knob or the row
+# fast path.
+if grep -rnE 'ExecuteSelectReferenceRows|use_vectorized|TryRowScan' src/; then
+  echo "FAIL: src/ names the row-at-a-time reference path (above)" >&2
+  exit 1
+fi
+
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)" >/dev/null
@@ -54,8 +64,9 @@ echo "== perf gate: batch service bench =="
 
 echo "== perf gate: vectorized executor bench =="
 # Cold 4-way join and the wide-ntuple scan must stay >= 3x faster than
-# the retained row-at-a-time reference path, with byte-identical output
-# on every shape/batch size (results land in BENCH_vectorized.json).
+# the row-at-a-time reference executor (tests/reference_executor.h), with
+# byte-identical output on every shape/batch size (results land in
+# BENCH_vectorized.json).
 ./build/bench/bench_ext_vectorized BENCH_vectorized.json
 
 echo "== perf gate: wire protocol bench =="

@@ -71,13 +71,25 @@ std::vector<std::string> ReferencedColumns(const sql::SelectStmt& stmt,
   return columns;
 }
 
-/// A zero-row ResultSet with the given schema (partial-results substitute
+/// A zero-row partial with the given schema (partial-results substitute
 /// for a failed sub-query; inner joins against it yield no rows, LEFT
 /// JOINs NULL-pad).
-ResultSet EmptyPartial(std::vector<std::string> columns) {
-  ResultSet rs;
-  rs.columns = std::move(columns);
-  return rs;
+storage::ColumnarResult EmptyPartial(std::vector<std::string> columns) {
+  storage::ColumnarResult partial;
+  partial.columns = std::move(columns);
+  partial.batch.cols.resize(partial.columns.size());
+  partial.wire_size = partial.ComputeWireSize();
+  return partial;
+}
+
+/// Rows that reach the merge (a cache hit, a remote result) as a partial:
+/// columnarized once, carrying the wire size the merge lease charges.
+/// Ragged rows are refused.
+Result<storage::ColumnarResult> PartialFromRows(const ResultSet& rs) {
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult partial,
+                          storage::ColumnarResult::FromRows(rs));
+  partial.wire_size = rs.WireSize();
+  return partial;
 }
 
 // Per-call-site instrument handles (see rpc/server.cc for the pattern).
@@ -831,7 +843,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
   // per-sub-query result cache (so the unchanged side of a cross-database
   // join is served from memory even when the other side misses), execute
   // on a miss, insert on success. Cache entries are immutable shared rows,
-  // boxed from the partial on insert; a hit's partial is a copy of them.
+  // boxed from the partial on insert; a hit is columnarized from them once.
   auto run_branch = [&](size_t i, Branch& branch) -> Status {
     const SubQuery& sub = plan.subqueries[i];
     const cache::RenderedSubQuery& render = cached->subquery_renders[i];
@@ -853,7 +865,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
       if (cache::CachedResult hit = cache_.LookupResult(sub_key)) {
         ++branch.stats.subquery_cache_hits;
         SubqueryCacheHitsCounter().Add(1);
-        branch.partial = ResultSet(*hit.result);
+        GRIDDB_ASSIGN_OR_RETURN(branch.partial, PartialFromRows(*hit.result));
         return Status::Ok();
       }
       SubqueryCacheMissesCounter().Add(1);
@@ -958,29 +970,22 @@ Result<ResultSet> DataAccessService::ResolveAndMerge(
   // The merge materializes every partial in middleware memory; reserve
   // that footprint against the byte budget so concurrent cross-database
   // joins cannot grow the heap without bound. Shed (kResourceExhausted)
-  // beats an OOM-killed server. A columnar partial carries the wire size
-  // its transport measured.
+  // beats an OOM-killed server. Every partial carries its wire size.
   engine::MapTableSource partials;
   size_t merge_bytes = 0;
   for (size_t i = 0; i < branches.size(); ++i) {
     Branch& branch = branches[i];
     if (stats) MergeQueryStats(branch.stats, stats);
     if (branch.status.ok()) {
-      if (auto* rows = std::get_if<ResultSet>(&branch.partial)) {
-        merge_bytes += rows->WireSize();
-        partials.Add(names[i], std::move(*rows));
-      } else {
-        auto& columns = std::get<storage::ColumnarResult>(branch.partial);
-        merge_bytes += columns.wire_size;
-        partials.Add(names[i], std::move(columns));
-      }
+      merge_bytes += branch.partial.wire_size;
+      partials.Add(names[i], std::move(branch.partial));
       continue;
     }
     if (!Substitutes(branch.status)) return branch.status;
     // Inner joins against the empty substitute yield no rows; LEFT JOINs
     // NULL-pad.
-    ResultSet substitute = EmptyPartial(substitute_columns(i));
-    merge_bytes += substitute.WireSize();
+    storage::ColumnarResult substitute = EmptyPartial(substitute_columns(i));
+    merge_bytes += substitute.wire_size;
     partials.Add(names[i], std::move(substitute));
     if (stats) {
       ++stats->subqueries_failed;
@@ -997,7 +1002,7 @@ Result<ResultSet> DataAccessService::ResolveAndMerge(
                           admission_.ReserveMergeMemory(merge_bytes, tenant));
 
   obs::Span merge_span = tracer_.StartSpan("dataaccess.merge");
-  auto merged = engine::ExecuteSelect(merge_stmt, partials, cancel);
+  auto merged = engine::ExecuteSelect(merge_stmt, partials, {.cancel = cancel});
   if (!merged.ok()) {
     if (merge_span.active()) merge_span.SetError(merged.status().ToString());
     return merged.status();
@@ -1363,14 +1368,17 @@ Result<ResultSet> DataAccessService::QueryWithRemote(
       [&](size_t i, Branch& branch) -> Status {
         const Fetch& fetch = fetches[i];
         branch.cost.AddMs(fetch.setup_ms);
+        if (fetch.local) {
+          GRIDDB_ASSIGN_OR_RETURN(
+              branch.partial, driver_.Query(fetch.sql, &branch.cost, cancel));
+          return Status::Ok();
+        }
         GRIDDB_ASSIGN_OR_RETURN(
-            branch.partial,
-            fetch.local
-                ? driver_.Query(fetch.sql, &branch.cost, cancel)
-                : RemoteQueryFailover(table_candidates[fetch.table],
-                                      fetch.table, fetch.sql, &branch.cost,
-                                      &branch.stats, forward_depth,
-                                      forward_path, cancel, tenant));
+            ResultSet rows,
+            RemoteQueryFailover(table_candidates[fetch.table], fetch.table,
+                                fetch.sql, &branch.cost, &branch.stats,
+                                forward_depth, forward_path, cancel, tenant));
+        GRIDDB_ASSIGN_OR_RETURN(branch.partial, PartialFromRows(rows));
         return Status::Ok();
       },
       [this](const Status& status) { return Substitutes(status); },

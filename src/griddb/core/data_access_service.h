@@ -328,13 +328,15 @@ class DataAccessService {
       const CancelToken* cancel, const std::string& tenant);
 
   /// One FanOut branch: a sub-query against one mart, or one table fetch
-  /// of a query that mixes local and remote tables. A mart's partial keeps
-  /// its typed columns; a cache hit or a remote result arrives as rows.
+  /// of a query that mixes local and remote tables. The partial is typed
+  /// columns whose wire_size is its ResultSet::WireSize(): a mart's
+  /// partial as the mart produced it, a cache hit or a remote result
+  /// columnarized once in its branch.
   struct Branch {
     Status status;
     net::Cost cost;
     QueryStats stats;
-    std::variant<storage::ResultSet, storage::ColumnarResult> partial;
+    storage::ColumnarResult partial;
   };
   /// Whether a failed branch may be replaced by an empty partial: a
   /// cancelled branch follows partial_on_deadline, any other failure

@@ -34,8 +34,7 @@ class Database::DatabaseTableSource : public TableSource {
 
   // Base tables lend their stored columns in place (the caller holds the
   // database lock for the whole ExecuteSelect call, so they stay valid);
-  // views (as columns) and catalog tables (as rows) are materialized for
-  // the call.
+  // views and catalog tables are materialized as columns for the call.
   Result<BorrowedTable> Borrow(const std::string& name) const override {
     std::string key = ToLower(name);
     auto table_it = db_.tables_.find(key);
@@ -56,7 +55,9 @@ class Database::DatabaseTableSource : public TableSource {
       return BorrowedTable::Materialized(std::move(result));
     }
     GRIDDB_ASSIGN_OR_RETURN(ResultSet catalog, db_.CatalogTable(ToUpper(name)));
-    return BorrowedTable::Materialized(std::move(catalog));
+    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult columns,
+                            storage::ColumnarResult::FromRows(catalog));
+    return BorrowedTable::Materialized(std::move(columns));
   }
 
  private:

@@ -6,11 +6,11 @@
 // comparisons, and WHERE treats NULL as false.
 //
 // The same scalar kernels back both executors (DESIGN.md §15): the
-// row-at-a-time reference path calls Eval over storage::Row, and the
-// vectorized path calls the Chunk overload for its elementwise
-// fallback plus CombineScalarNode / AggregateValues when it combines
-// per-group results. Because the kernels are shared, the two executors
-// cannot diverge on scalar semantics.
+// row-at-a-time reference the parity tests keep calls Eval over
+// storage::Row, and the vectorized executor calls the Chunk overload for
+// its elementwise fallback plus CombineScalarNode / AggregateValues when
+// it combines per-group results. Because the kernels are shared, the two
+// executors cannot diverge on scalar semantics.
 #pragma once
 
 #include <string>

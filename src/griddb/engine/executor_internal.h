@@ -1,8 +1,9 @@
-// Helpers shared by the reference row executor (select_executor.cc) and
-// the vectorized executor (vector_executor.cc). Everything here is
-// semantics the two paths must agree on exactly: star expansion, output
-// naming, equi-join detection, DISTINCT dedupe, OFFSET/LIMIT slicing and
-// ORDER BY comparison. Internal to the engine — not part of its API.
+// Helpers shared by the vectorized executor (vector_executor.cc) and the
+// row-at-a-time reference executor the parity tests keep
+// (tests/reference_executor.cc). Everything here is semantics the two
+// must agree on exactly: star expansion, output naming, equi-join
+// detection, DISTINCT dedupe, OFFSET/LIMIT slicing and ORDER BY
+// comparison. Internal to the engine — not part of its API.
 #pragma once
 
 #include <algorithm>
@@ -82,27 +83,5 @@ std::pair<size_t, size_t> OffsetLimitWindow(const sql::SelectStmt& stmt,
 std::vector<uint32_t> SortOrder(const sql::SelectStmt& stmt,
                                 const std::vector<storage::Value>& order_keys,
                                 size_t n, std::optional<size_t> top_k);
-
-/// Borrows every table `stmt` reads, in FROM/JOIN order (after the
-/// FROM-present and duplicate-name checks).
-Result<std::vector<BorrowedTable>> BorrowTables(const sql::SelectStmt& stmt,
-                                                const TableSource& source);
-
-/// The vectorized executor (vector_executor.cc) over the tables
-/// BorrowTables lent. Sets `unsupported` and returns an empty result when
-/// a row input has rows the columnar form cannot represent (ragged
-/// widths) — the caller then reruns the reference path, whose semantics
-/// are authoritative there.
-Result<storage::ColumnarResult> ExecuteSelectVectorized(
-    const sql::SelectStmt& stmt, const std::vector<BorrowedTable>& tables,
-    const ExecOptions& opts, bool& unsupported);
-
-/// A plain single-table projection of a row input, copied row by row:
-/// when the caller wants rows, columnarizing rows only to box them again
-/// would double the cost. nullopt when `table` is not a row input or the
-/// statement is not such a projection (or its rows are ragged).
-Result<std::optional<storage::ResultSet>> TryRowScan(
-    const sql::SelectStmt& stmt, const BorrowedTable& table,
-    const ExecOptions& opts);
 
 }  // namespace griddb::engine::internal

@@ -25,9 +25,9 @@ namespace griddb::engine {
 using storage::ColumnVector;
 
 /// One chunk of the executor's working set: `rows` rows whose column c is
-/// read through cols[c]. A column is either borrowed — a stored table
-/// column, valid while the Database lock is held — or owned by the chunk
-/// (filter and join output, columnarized row inputs). nullptr marks a
+/// read through cols[c]. A column is either borrowed — an input table's
+/// column, valid for the ExecuteSelect call — or owned by the chunk
+/// (filter and join output). nullptr marks a
 /// scope column the statement never references; nothing reads it.
 /// Move-only: owned columns stay put when the chunk moves.
 struct Chunk {

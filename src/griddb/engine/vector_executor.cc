@@ -1,11 +1,11 @@
 // Batch-at-a-time SELECT execution (DESIGN.md §15).
 //
 // The working set flows between operators as a list of Chunk columns.
-// Each input table enters as one chunk: a Database base table lends its
-// stored typed columns in place, a row input (merge partials, views) is
-// columnarized once. Before any operator runs, the executor marks the
-// scope columns the statement references (`*` marks all of them); scan,
-// columnarization and every gather touch only those. WHERE evaluates the
+// Each input table enters as one chunk whose typed columns are read in
+// place: a Database base table's stored columns, or the ColumnarResult of
+// a merge partial, view or catalog. Before any operator runs, the
+// executor marks the scope columns the statement references (`*` marks
+// all of them); scan and every gather touch only those. WHERE evaluates the
 // predicate once per chunk (EvalVector) and gathers survivors into chunks
 // of at most ExecOptions::batch_rows rows; joins build an insertion-ordered
 // hash table and emit gathered output chunks; GROUP BY assigns each row a
@@ -20,11 +20,11 @@
 // the columns at its boundary.
 //
 // Parity contract: on fault-free inputs the emitted columns box to rows
-// byte-identical to ExecuteSelectReferenceRows. Anything the columnar
-// form cannot evaluate identically falls back — per expression to the
-// shared scalar kernels (vector_eval.cc), per aggregate or GROUP BY key
-// to the Value path, or per query to the reference executor when a row
-// input is ragged.
+// byte-identical to the row-at-a-time reference executor the parity
+// tests keep (tests/reference_executor.cc). Anything the typed kernels
+// cannot evaluate identically falls back — per expression to the shared
+// scalar kernels (vector_eval.cc), per aggregate or GROUP BY key to the
+// Value path.
 #include <algorithm>
 #include <functional>
 #include <numeric>
@@ -43,12 +43,10 @@ namespace griddb::engine::internal {
 namespace {
 
 using storage::ColumnarResult;
-using storage::Row;
 using storage::Value;
 
 struct EngineMetrics {
   obs::Counter* vectorized_queries;
-  obs::Counter* fallbacks;
   obs::Counter* batches;
   obs::Gauge* batch_bytes_peak;
 };
@@ -57,8 +55,6 @@ EngineMetrics& Metrics() {
   static EngineMetrics m{
       obs::MetricsRegistry::Default().GetCounter(
           "griddb.engine.vectorized_queries"),
-      obs::MetricsRegistry::Default().GetCounter(
-          "griddb.engine.reference_fallbacks"),
       obs::MetricsRegistry::Default().GetCounter("griddb.engine.batches"),
       obs::MetricsRegistry::Default().GetGauge(
           "griddb.engine.batch_bytes_peak"),
@@ -153,39 +149,16 @@ Chunk GatherChunk(const Chunk& src, const uint32_t* idx, size_t n) {
   return out;
 }
 
-/// One input table as a single chunk holding its referenced columns
-/// (full-scope columns from `offset`): stored columns are borrowed in
-/// place, rows are columnarized. Any row whose width differs from the
-/// table's flips `ragged`: the columnar form cannot reproduce the row
-/// path's access-dependent semantics there, so the caller aborts to the
-/// reference executor.
-Status TableChunk(const BorrowedTable& table, const std::vector<bool>& used,
-                  size_t offset, const CancelToken* cancel, Chunk& out,
-                  bool& ragged) {
-  const size_t width = table.columns.size();
-  out = Chunk(width);
+/// One input table as a single chunk: its referenced columns (full-scope
+/// columns from `offset`), borrowed in place.
+Chunk TableChunk(const BorrowedTable& table, const std::vector<bool>& used,
+                 size_t offset) {
+  Chunk out(table.columns.size());
   out.rows = table.num_rows;
-  if (table.stored) {
-    for (size_t c = 0; c < width; ++c) {
-      if (used[offset + c]) out.cols[c] = &(*table.stored)[c];
-    }
-    return Status::Ok();
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    if (used[offset + c]) out.cols[c] = &(*table.stored)[c];
   }
-  std::vector<std::pair<size_t, ColumnVector*>> fill;
-  for (size_t c = 0; c < width; ++c) {
-    if (used[offset + c]) fill.push_back({c, &out.Own(c)});
-  }
-  const std::vector<Row>& rows = *table.rows;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
-    const Row& row = rows[r];
-    if (row.size() != width) {
-      ragged = true;
-      return Status::Ok();
-    }
-    for (const auto& [c, col] : fill) col->Append(row[c]);
-  }
-  return Status::Ok();
+  return out;
 }
 
 /// Hash join / nested-loop join of `right` into `ws`, columnar.
@@ -806,15 +779,9 @@ struct ScanPlan {
 };
 
 /// Plans `stmt` as a plain scan of `table`; nullopt when it is not one or
-/// an item is not a bare column or literal. The reference path projects
-/// every row before OFFSET/LIMIT, so rows narrower than the scope error
-/// even when sliced away: a row input whose rows are not all exactly as
-/// wide as the table sets `ragged` instead, and the caller defers to the
-/// reference path.
+/// an item is not a bare column or literal.
 Result<std::optional<ScanPlan>> PlanScan(const sql::SelectStmt& stmt,
-                                         const BorrowedTable& table,
-                                         const ExecOptions& opts,
-                                         bool& ragged) {
+                                         const BorrowedTable& table) {
   if (!IsPlainScanShape(stmt)) return std::optional<ScanPlan>();
   Scope scope;
   scope.AddColumns(stmt.from[0].EffectiveName(), table.columns);
@@ -835,63 +802,13 @@ Result<std::optional<ScanPlan>> PlanScan(const sql::SelectStmt& stmt,
     }
     plan.indexes.push_back(idx);
   }
-  if (table.rows) {
-    for (size_t r = 0; r < table.num_rows; ++r) {
-      if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-      if ((*table.rows)[r].size() != table.columns.size()) {
-        ragged = true;
-        return std::optional<ScanPlan>();
-      }
-    }
-  }
   std::tie(plan.begin, plan.end) = OffsetLimitWindow(stmt, table.num_rows);
   return std::optional<ScanPlan>(std::move(plan));
 }
 
-/// Runs a plain scan of a row input into rows: whole rows are copied
-/// when the projection is the identity, else each row is projected.
-Result<storage::ResultSet> ScanRows(const ScanPlan& plan,
-                                    const BorrowedTable& table,
-                                    const ExecOptions& opts) {
-  storage::ResultSet out;
-  out.columns = plan.names;
-  const auto first = table.rows->begin() + static_cast<long>(plan.begin);
-  const auto last = table.rows->begin() + static_cast<long>(plan.end);
-  bool identity = plan.indexes.size() == table.columns.size();
-  for (size_t i = 0; i < plan.indexes.size() && identity; ++i) {
-    identity = plan.indexes[i] == i;
-  }
-  if (identity) {
-    out.rows.assign(first, last);
-    return out;
-  }
-  out.rows.reserve(plan.end - plan.begin);
-  for (auto it = first; it != last; ++it) {
-    if ((it - first) % 4096 == 0) {
-      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    }
-    Row projected;
-    projected.reserve(plan.indexes.size());
-    for (size_t i = 0; i < plan.indexes.size(); ++i) {
-      projected.push_back(plan.indexes[i] == std::string::npos
-                              ? plan.items[i].expr->literal
-                              : (*it)[plan.indexes[i]]);
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  return out;
-}
-
-/// Runs a plain scan into typed columns: stored columns are sliced, never
-/// boxed; a row input (a catalog) is scanned as rows and columnarized.
-Result<ColumnarResult> ScanColumns(const ScanPlan& plan,
-                                   const BorrowedTable& table,
-                                   const ExecOptions& opts) {
-  if (table.rows) {
-    GRIDDB_ASSIGN_OR_RETURN(storage::ResultSet rows,
-                            ScanRows(plan, table, opts));
-    return ColumnarResult::FromRows(rows);
-  }
+/// Runs a plain scan into typed columns: the input columns are sliced,
+/// never boxed.
+ColumnarResult ScanColumns(const ScanPlan& plan, const BorrowedTable& table) {
   ColumnarResult out;
   out.columns = plan.names;
   out.batch.cols.resize(plan.items.size());
@@ -998,8 +915,8 @@ bool CellsEqual(const storage::ColumnVector& col, uint32_t a, uint32_t b) {
   return false;
 }
 
-}  // namespace
-
+/// Borrows every table `stmt` reads, in FROM/JOIN order (after the
+/// FROM-present and duplicate-name checks).
 Result<std::vector<BorrowedTable>> BorrowTables(const sql::SelectStmt& stmt,
                                                 const TableSource& source) {
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
@@ -1012,37 +929,25 @@ Result<std::vector<BorrowedTable>> BorrowTables(const sql::SelectStmt& stmt,
   return tables;
 }
 
-Result<std::optional<storage::ResultSet>> TryRowScan(
-    const sql::SelectStmt& stmt, const BorrowedTable& table,
-    const ExecOptions& opts) {
-  if (!table.rows) return std::optional<storage::ResultSet>();
-  bool ragged = false;
-  GRIDDB_ASSIGN_OR_RETURN(std::optional<ScanPlan> plan,
-                          PlanScan(stmt, table, opts, ragged));
-  if (!plan) return std::optional<storage::ResultSet>();
-  GRIDDB_ASSIGN_OR_RETURN(storage::ResultSet rows,
-                          ScanRows(*plan, table, opts));
-  Metrics().vectorized_queries->Add(1);
-  return std::optional<storage::ResultSet>(std::move(rows));
-}
+}  // namespace
+}  // namespace griddb::engine::internal
 
-Result<ColumnarResult> ExecuteSelectVectorized(
-    const sql::SelectStmt& stmt, const std::vector<BorrowedTable>& tables,
-    const ExecOptions& opts, bool& unsupported) {
-  unsupported = false;
-  bool ragged = false;
+namespace griddb::engine {
+
+using namespace internal;
+
+Result<ColumnarResult> ExecuteSelectColumnar(const sql::SelectStmt& stmt,
+                                             const TableSource& source,
+                                             const ExecOptions& opts) {
+  GRIDDB_ASSIGN_OR_RETURN(std::vector<BorrowedTable> tables,
+                          BorrowTables(stmt, source));
 
   // Plain single-table scans project straight from the input.
   GRIDDB_ASSIGN_OR_RETURN(std::optional<ScanPlan> plan,
-                          PlanScan(stmt, tables[0], opts, ragged));
+                          PlanScan(stmt, tables[0]));
   if (plan) {
     Metrics().vectorized_queries->Add(1);
-    return ScanColumns(*plan, tables[0], opts);
-  }
-  if (ragged) {
-    unsupported = true;
-    Metrics().fallbacks->Add(1);
-    return ColumnarResult{};
+    return ScanColumns(*plan, tables[0]);
   }
 
   // `scope` is the full scope the working set grows into.
@@ -1059,29 +964,19 @@ Result<ColumnarResult> ExecuteSelectVectorized(
   VecWorkingSet ws;
   {
     ws.scope.AddColumns(refs[0]->EffectiveName(), tables[0].columns);
-    Chunk first;
-    GRIDDB_RETURN_IF_ERROR(
-        TableChunk(tables[0], used, 0, opts.cancel, first, ragged));
+    Chunk first = TableChunk(tables[0], used, 0);
     ws.total_rows = first.rows;
     if (first.rows > 0) ws.chunks.push_back(std::move(first));
     ws.TrackPeak();
   }
-  for (size_t i = 1; i < refs.size() && !ragged; ++i) {
-    Chunk right;
-    GRIDDB_RETURN_IF_ERROR(
-        TableChunk(tables[i], used, offsets[i], opts.cancel, right, ragged));
-    if (ragged) break;
+  for (size_t i = 1; i < refs.size(); ++i) {
+    Chunk right = TableChunk(tables[i], used, offsets[i]);
     const sql::Join* join =
         i < stmt.from.size() ? nullptr : &stmt.joins[i - stmt.from.size()];
     GRIDDB_RETURN_IF_ERROR(JoinIntoVec(
         ws, refs[i]->EffectiveName(), tables[i].columns, right,
         join ? join->type : sql::JoinType::kCross,
         join ? join->on.get() : nullptr, used, opts));
-  }
-  if (ragged) {
-    unsupported = true;
-    Metrics().fallbacks->Add(1);
-    return ColumnarResult{};
   }
 
   if (stmt.where) {
@@ -1266,4 +1161,4 @@ Result<ColumnarResult> ExecuteSelectVectorized(
   return out;
 }
 
-}  // namespace griddb::engine::internal
+}  // namespace griddb::engine

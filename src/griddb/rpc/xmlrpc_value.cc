@@ -277,8 +277,24 @@ XmlRpcValue ResultSetToRpc(storage::ResultSet&& rs) {
   return XmlRpcValue(std::make_shared<storage::ResultSet>(std::move(rs)));
 }
 
+namespace {
+/// A peer's result row must be exactly as wide as the column list.
+Status CheckRowWidth(size_t row, size_t cells, size_t columns) {
+  if (cells == columns) return Status::Ok();
+  return TypeError("result set row " + std::to_string(row) + " has " +
+                   std::to_string(cells) + " cells for " +
+                   std::to_string(columns) + " columns");
+}
+}  // namespace
+
 Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value) {
-  if (const storage::ResultSet* native = value.result_set()) return *native;
+  if (const storage::ResultSet* native = value.result_set()) {
+    for (size_t r = 0; r < native->rows.size(); ++r) {
+      GRIDDB_RETURN_IF_ERROR(CheckRowWidth(r, native->rows[r].size(),
+                                           native->columns.size()));
+    }
+    return *native;
+  }
   storage::ResultSet rs;
   GRIDDB_ASSIGN_OR_RETURN(const XmlRpcValue* columns, value.Member("columns"));
   GRIDDB_ASSIGN_OR_RETURN(const XmlRpcArray* column_items, columns->AsArray());
@@ -291,6 +307,8 @@ Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value) {
   rs.rows.reserve(row_items->size());
   for (const XmlRpcValue& row_value : *row_items) {
     GRIDDB_ASSIGN_OR_RETURN(const XmlRpcArray* cells, row_value.AsArray());
+    GRIDDB_RETURN_IF_ERROR(
+        CheckRowWidth(rs.rows.size(), cells->size(), rs.columns.size()));
     storage::Row row;
     row.reserve(cells->size());
     for (const XmlRpcValue& cell : *cells) {

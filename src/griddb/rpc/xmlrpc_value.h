@@ -102,7 +102,8 @@ class XmlRpcValue {
 
 // ---- storage interop: result sets cross the wire as struct{columns,rows}
 // on the XML codec, or as typed columns on the negotiated binary codec.
-// Both forms decode back via RpcToResultSet.
+// Both forms decode back via RpcToResultSet, which refuses a result whose
+// rows are not all as wide as its column list (kTypeError).
 
 XmlRpcValue ResultSetToRpc(const storage::ResultSet& rs);
 XmlRpcValue ResultSetToRpc(storage::ResultSet&& rs);

@@ -6,8 +6,6 @@
 
 namespace griddb::unity {
 
-using storage::ResultSet;
-
 namespace {
 /// Client queries are written against the virtual (logical) schema; the
 /// permissive SQLite dialect accepts every quoting style plus LIMIT.
@@ -116,18 +114,14 @@ Result<storage::ColumnarResult> UnityDriver::ExecuteDirect(
       cost);
 }
 
-Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
-                                     net::Cost* cost,
-                                     const CancelToken* cancel) {
+Result<storage::ColumnarResult> UnityDriver::Query(const std::string& sql_text,
+                                                  net::Cost* cost,
+                                                  const CancelToken* cancel) {
   if (cost) cost->AddMs(costs_.query_parse_ms);
   if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
   GRIDDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(sql_text));
 
-  if (plan.single_database) {
-    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
-                            ExecuteDirect(plan, cost));
-    return result.ToRows();
-  }
+  if (plan.single_database) return ExecuteDirect(plan, cost);
 
   // Multi-database: execute sub-queries (in parallel when enabled, else
   // serially and fail-fast), then merge.
@@ -164,9 +158,11 @@ Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
     for (const net::Cost& branch : branch_costs) cost->AddSequential(branch);
   }
 
-  GRIDDB_ASSIGN_OR_RETURN(ResultSet merged,
-                          engine::ExecuteSelect(*plan.merge_stmt, partials,
-                                                cancel));
+  GRIDDB_ASSIGN_OR_RETURN(
+      storage::ColumnarResult merged,
+      engine::ExecuteSelectColumnar(*plan.merge_stmt, partials,
+                                    {.cancel = cancel}));
+  merged.wire_size = merged.ComputeWireSize();
   if (cost) {
     cost->AddMs(costs_.integrate_per_row_ms *
                 static_cast<double>(merged.num_rows()));

@@ -64,10 +64,11 @@ class UnityDriver {
   /// Full federated query: plan, execute sub-queries (JDBC), merge.
   /// `cancel`, when given, is checked before each sub-query (branches the
   /// fan-out has not started yet are skipped once a sibling cancels) and
-  /// at row-batch granularity inside the middleware merge join.
-  Result<storage::ResultSet> Query(const std::string& sql_text,
-                                   net::Cost* cost = nullptr,
-                                   const CancelToken* cancel = nullptr);
+  /// at row-batch granularity inside the middleware merge join. The result
+  /// keeps its typed columns, with wire_size set.
+  Result<storage::ColumnarResult> Query(const std::string& sql_text,
+                                        net::Cost* cost = nullptr,
+                                        const CancelToken* cancel = nullptr);
 
   /// Executes one planned sub-query over JDBC. Public so the data access
   /// layer can route sub-queries itself (POOL-RAL vs JDBC). A non-empty

@@ -460,9 +460,11 @@ Result<storage::ResultSet> MergePartials(
     const CancelToken* cancel) {
   engine::MapTableSource source;
   for (auto& [name, rs] : partials) {
-    source.Add(std::move(name), std::move(rs));
+    GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult columns,
+                            storage::ColumnarResult::FromRows(rs));
+    source.Add(std::move(name), std::move(columns));
   }
-  return engine::ExecuteSelect(merge_stmt, source, cancel);
+  return engine::ExecuteSelect(merge_stmt, source, {.cancel = cancel});
 }
 
 }  // namespace griddb::unity

@@ -102,9 +102,10 @@ Result<QueryPlan> PlanSelect(const sql::SelectStmt& stmt,
                              const DataDictionary& dictionary,
                              const PlannerOptions& options);
 
-/// Executes the merge statement over named partial results. `cancel`,
-/// when given, is checked at row-batch granularity inside the merge join
-/// (see engine::ExecuteSelect).
+/// Executes the merge statement over named partial results, each
+/// columnarized once (a partial with ragged rows is refused). `cancel`,
+/// when given, is checked at chunk granularity inside the merge join (see
+/// engine::ExecOptions).
 Result<storage::ResultSet> MergePartials(
     const sql::SelectStmt& merge_stmt,
     std::vector<std::pair<std::string, storage::ResultSet>> partials,

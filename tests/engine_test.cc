@@ -437,7 +437,9 @@ TEST(MapTableSourceTest, ServesNamedResultSets) {
   ResultSet rs;
   rs.columns = {"a"};
   rs.rows = {{Value(int64_t{1})}};
-  source.Add("part", std::move(rs));
+  auto columns = storage::ColumnarResult::FromRows(rs);
+  ASSERT_TRUE(columns.ok());
+  source.Add("part", std::move(*columns));
   EXPECT_TRUE(source.Borrow("PART").ok());
   EXPECT_FALSE(source.Borrow("other").ok());
 

@@ -338,6 +338,56 @@ TEST_F(FaultToleranceFixture, PartialResultsReportFailedRemoteFetch) {
   EXPECT_NE(stats.subquery_errors[0].find("events_b"), std::string::npos);
 }
 
+TEST_F(FaultToleranceFixture, MergeLeaseIsPinnedForMixedPartialQuery) {
+  // A query mixing a local table with a remote one whose fetch fails and
+  // is substituted. The merge reserves twice the wire size of its
+  // partials: the local events_a fetch (all columns, 3 rows) and the
+  // empty events_b substitute with the columns the statement reads (v,
+  // id). A held 1-byte lease makes the budget binding, so a budget of
+  // exactly 1 + lease serves the query and one byte less sheds it.
+  storage::ResultSet local;
+  local.columns = {"id", "v"};
+  local.rows = {{Value(int64_t{1}), Value(1.5)},
+                {Value(int64_t{2}), Value(2.5)},
+                {Value(int64_t{3}), Value(3.5)}};
+  storage::ResultSet substitute;
+  substitute.columns = {"v", "id"};
+  const size_t lease = 2 * (local.WireSize() + substitute.WireSize());
+
+  auto plan = std::make_shared<net::FaultPlan>(7);
+  plan->AddDownWindow("server-b", 0, kForever);
+  network.InstallFaultPlan(plan);
+
+  for (size_t budget : {1 + lease, lease}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    DataAccessConfig config;
+    config.server_name = "mixed";
+    config.host = "server-a";
+    config.rls_url = kRlsUrl;
+    config.partial_results = true;
+    config.admission.max_concurrent = 4;
+    config.admission.merge_memory_budget_bytes = budget;
+    DataAccessService service(config, &catalog, &transport);
+    ASSERT_TRUE(service.RegisterLiveDatabase("mysql://server-a/db_a", "").ok());
+
+    auto held = service.admission().ReserveMergeMemory(1);
+    ASSERT_TRUE(held.ok());
+    QueryStats stats;
+    auto rs = service.Query(
+        "SELECT events_a.id, events_a.v, events_b.v AS bv FROM events_a "
+        "LEFT JOIN events_b ON events_b.id = events_a.id",
+        &stats);
+    if (budget > lease) {
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_EQ(rs->num_rows(), 3u);
+      EXPECT_EQ(stats.subqueries_failed, 1u);
+    } else {
+      EXPECT_EQ(rs.status().code(), StatusCode::kResourceExhausted)
+          << rs.status().ToString();
+    }
+  }
+}
+
 TEST_F(FaultToleranceFixture, RelayedFaultCarriesOneCodePrefix) {
   // The RLS maps GHOST to server-b, which does not host it: server-b
   // raises kNotFound, and server-a relays that fault to the client as its

@@ -829,15 +829,17 @@ TEST_F(OverloadFixture, CancellationRacesCompletionSafely) {
 // ---------- executor batch-granularity cancellation ----------
 
 TEST(ExecutorCancellationTest, CancelledTokenStopsLargeScanMidBatch) {
-  // The executor consults the token once per row batch, so a scan large
+  // The executor consults the token once per chunk, so a scan large
   // enough to cross a batch boundary stops instead of running to
   // completion — the mechanism that lets one branch's deadline expiry
   // cancel a sibling's runaway join.
   storage::ResultSet big;
   big.columns = {"id"};
   for (int i = 0; i < 4096; ++i) big.rows.push_back({Value(i)});
+  auto columns = storage::ColumnarResult::FromRows(big);
+  ASSERT_TRUE(columns.ok());
   engine::MapTableSource source;
-  source.Add("big", std::move(big));
+  source.Add("big", std::move(*columns));
 
   auto stmt =
       sql::ParseSelect("SELECT id FROM big WHERE id >= 0",
@@ -850,7 +852,7 @@ TEST(ExecutorCancellationTest, CancelledTokenStopsLargeScanMidBatch) {
 
   CancelToken token = CancelToken::Cancellable();
   token.Cancel();
-  auto cancelled = engine::ExecuteSelect(**stmt, source, &token);
+  auto cancelled = engine::ExecuteSelect(**stmt, source, {.cancel = &token});
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
 }

@@ -291,6 +291,48 @@ TEST_F(QueryCacheFixture, SubqueryCacheReusesUnchangedJoinSide) {
   EXPECT_EQ(second->rows, first->rows);
 }
 
+TEST_F(QueryCacheFixture, MergeLeaseIsPinnedForSubqueryCacheHit) {
+  // The join's events_a side re-executes while its shared_events side is
+  // a sub-query cache hit. The merge reserves twice the wire size of both
+  // partials: events_a's join key (3 rows) and shared_events' selected
+  // value plus join key (3 rows). A held 1-byte lease makes the budget
+  // binding, so a budget of exactly 1 + lease serves the query and one
+  // byte less sheds it.
+  storage::ResultSet events;
+  events.columns = {"id"};
+  events.rows = {{Value(int64_t{1})}, {Value(int64_t{2})}, {Value(int64_t{3})}};
+  storage::ResultSet shared;
+  shared.columns = {"v", "id"};
+  shared.rows = {{Value(0.5), Value(int64_t{1})},
+                 {Value(1.5), Value(int64_t{2})},
+                 {Value(2.5), Value(int64_t{3})}};
+  const size_t lease = 2 * (events.WireSize() + shared.WireSize());
+
+  for (size_t budget : {1 + lease, lease}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    DataAccessConfig config = CachedConfig();
+    config.admission.max_concurrent = 4;
+    config.admission.merge_memory_budget_bytes = budget;
+    auto service = MakeService(config);
+    // Cold, with no other lease held: a lone merge is always served.
+    ASSERT_TRUE(service->Query(kJoinQuery).ok());
+    EXPECT_GE(service->CacheInvalidate("events_a"), 1u);
+
+    auto held = service->admission().ReserveMergeMemory(1);
+    ASSERT_TRUE(held.ok());
+    QueryStats stats;
+    auto rs = service->Query(kJoinQuery, &stats);
+    if (budget > lease) {
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_EQ(stats.subquery_cache_hits, 1u);
+      EXPECT_EQ(rs->num_rows(), 3u);
+    } else {
+      EXPECT_EQ(rs.status().code(), StatusCode::kResourceExhausted)
+          << rs.status().ToString();
+    }
+  }
+}
+
 TEST_F(QueryCacheFixture, QuarantineInvalidatesCachedResults) {
   auto service = MakeService(CachedConfig());
   QueryStats cold;

@@ -289,11 +289,21 @@ TEST_F(FederationFixture, BaselineDriverRefusesCrossDatabaseJoins) {
 
 // ---------- driver execution ----------
 
+/// UnityDriver::Query boxed into rows (the driver returns typed columns).
+Result<storage::ResultSet> QueryRows(UnityDriver& driver,
+                                     const std::string& sql_text,
+                                     net::Cost* cost) {
+  GRIDDB_ASSIGN_OR_RETURN(storage::ColumnarResult result,
+                          driver.Query(sql_text, cost));
+  return result.ToRows();
+}
+
 TEST_F(FederationFixture, SingleDatabaseQuery) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
   net::Cost cost;
-  auto rs = driver.Query(
+  auto rs = QueryRows(
+      driver,
       "SELECT event_id, energy FROM events WHERE tag = 'muon' "
       "ORDER BY energy DESC",
       &cost);
@@ -307,7 +317,7 @@ TEST_F(FederationFixture, SingleDatabaseQuery) {
 TEST_F(FederationFixture, SelectStarKeepsLogicalColumnNames) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query("SELECT * FROM runs", nullptr);
+  auto rs = QueryRows(driver, "SELECT * FROM runs", nullptr);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->columns, (std::vector<std::string>{"run_id", "detector"}));
 }
@@ -316,7 +326,8 @@ TEST_F(FederationFixture, CrossDatabaseJoin) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
   net::Cost cost;
-  auto rs = driver.Query(
+  auto rs = QueryRows(
+      driver,
       "SELECT e.event_id, e.energy, r.detector FROM events e JOIN runs r "
       "ON e.run_id = r.run_id WHERE e.energy > 10 ORDER BY e.event_id",
       &cost);
@@ -329,7 +340,8 @@ TEST_F(FederationFixture, CrossDatabaseJoin) {
 TEST_F(FederationFixture, CrossDatabaseAggregate) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query(
+  auto rs = QueryRows(
+      driver,
       "SELECT r.detector, COUNT(*) AS n, AVG(e.energy) AS avg_e "
       "FROM events e JOIN runs r ON e.run_id = r.run_id "
       "GROUP BY r.detector ORDER BY n DESC, r.detector",
@@ -349,8 +361,8 @@ TEST_F(FederationFixture, ParallelAndSerialAgree) {
       "SELECT e.event_id, r.detector FROM events e JOIN runs r "
       "ON e.run_id = r.run_id ORDER BY e.event_id";
   net::Cost parallel_cost, serial_cost;
-  auto a = parallel.Query(query, &parallel_cost);
-  auto b = serial.Query(query, &serial_cost);
+  auto a = QueryRows(parallel, query, &parallel_cost);
+  auto b = QueryRows(serial, query, &serial_cost);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->num_rows(), b->num_rows());
@@ -402,7 +414,8 @@ TEST_F(FederationFixture, ReplicaSelectionPrefersLocalHost) {
 TEST_F(FederationFixture, CountStarAcrossTwoDatabases) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query(
+  auto rs = QueryRows(
+      driver,
       "SELECT COUNT(*) FROM events e JOIN runs r ON e.run_id = r.run_id",
       nullptr);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
@@ -429,8 +442,8 @@ TEST_F(FederationFixture, CountStarKeepsProjectionPushdown) {
   ASSERT_TRUE(full_plan.ok());
   EXPECT_EQ(full_plan->subqueries[0].fields.size(), 4u);
 
-  auto pushed = pushed_driver->Query(query, nullptr);
-  auto full = full_driver->Query(query, nullptr);
+  auto pushed = QueryRows(*pushed_driver, query, nullptr);
+  auto full = QueryRows(*full_driver, query, nullptr);
   ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(pushed->columns, full->columns);

@@ -1,24 +1,25 @@
-// Byte-identical parity between the vectorized executor and the retained
-// row-at-a-time reference path (DESIGN.md §15).
+// Byte-identical parity between the vectorized executor and the
+// row-at-a-time reference executor (reference_executor.h, DESIGN.md §15).
 //
-// The contract under test: for every fault-free input, ExecuteSelect
-// (vectorized, the default) and ExecuteSelectReferenceRows return
+// The contract under test: for every fault-free input, ExecuteSelect over
+// typed columns and ExecuteSelectReferenceRows over the same rows return
 // ResultSets whose columns and cells match exactly — same types, same
 // bit patterns for doubles, same row order. When the reference path
 // errors, the vectorized path must also error (messages may differ: the
 // vectorized path evaluates subexpressions column-major, so with two
 // independently failing subexpressions it can surface the other one).
 //
-// Coverage comes from a seeded random query generator over tables with
-// NULLs, mixed-type columns and duplicate join keys, plus deterministic
-// edge cases around batch boundaries, empty inputs and HAVING-dropped
-// groups, and a threaded leg for the TSan build. The database leg runs
-// the vectorized executor over an engine::Database, whose tables it reads
-// as stored typed columns in place, against the reference executor over
-// the same rows held in a MapTableSource. The merge leg does the same for
-// the federated merge: sub-query partials enter a MapTableSource as the
-// executor's typed columns and are read in place, against the reference
-// executor over the same partials boxed into rows.
+// Every table is generated as rows and held in both input forms: the
+// engine reads it as columns built once by ColumnarResult::FromRows, the
+// reference reads the rows in place. Coverage comes from a seeded random
+// query generator over tables with NULLs, mixed-type columns and
+// duplicate join keys, plus deterministic edge cases around batch
+// boundaries, empty inputs and HAVING-dropped groups, and a threaded leg
+// for the TSan build. The database leg runs the vectorized executor over
+// an engine::Database, whose tables it reads as stored typed columns in
+// place. The merge leg does the same for the federated merge: sub-query
+// partials enter a MapTableSource as the executor's typed columns, and
+// the reference reads the same partials boxed into rows.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -31,6 +32,7 @@
 #include "griddb/engine/select_executor.h"
 #include "griddb/sql/parser.h"
 #include "griddb/util/rng.h"
+#include "reference_executor.h"
 
 namespace griddb::engine {
 namespace {
@@ -94,7 +96,7 @@ using VectorizedRun =
 /// Runs one SQL text through the reference executor over `oracle` and
 /// through `run` (the vectorized executor) and checks the contract.
 /// Returns true when both succeeded (useful for counting coverage).
-bool CheckParityWith(const std::string& sql_text, const TableSource& oracle,
+bool CheckParityWith(const std::string& sql_text, const RowTables& oracle,
                      const VectorizedRun& run, size_t batch_rows) {
   auto dialect = sql::Dialect::For(sql::Vendor::kMySql);
   auto stmt = sql::ParseSelect(sql_text, dialect);
@@ -118,13 +120,28 @@ bool CheckParityWith(const std::string& sql_text, const TableSource& oracle,
   return true;
 }
 
-/// Both executors over the same source.
-bool CheckParity(const std::string& sql_text, const TableSource& source,
+/// The same tables in both input forms: typed columns for the engine,
+/// built once through ColumnarResult::FromRows, and the rows themselves
+/// for the reference.
+struct Tables {
+  MapTableSource columns;
+  RowTables rows;
+
+  void Add(const std::string& name, ResultSet rs) {
+    auto columnar = storage::ColumnarResult::FromRows(rs);
+    ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+    columns.Add(name, std::move(*columnar));
+    rows.Add(name, std::move(rs));
+  }
+};
+
+/// Both executors over the same tables.
+bool CheckParity(const std::string& sql_text, const Tables& tables,
                  size_t batch_rows = 1024) {
   return CheckParityWith(
-      sql_text, source,
-      [&source](const sql::SelectStmt& stmt, const ExecOptions& opts) {
-        return ExecuteSelect(stmt, source, opts);
+      sql_text, tables.rows,
+      [&tables](const sql::SelectStmt& stmt, const ExecOptions& opts) {
+        return ExecuteSelect(stmt, tables.columns, opts);
       },
       batch_rows);
 }
@@ -179,21 +196,21 @@ ResultSet RunsTable(size_t n, Rng& rng) {
   return rs;
 }
 
-MapTableSource MakeSource(size_t events, size_t runs, uint64_t seed) {
+Tables MakeSource(size_t events, size_t runs, uint64_t seed) {
   Rng rng(seed);
-  MapTableSource source;
+  Tables source;
   source.Add("events", EventsTable(events, rng));
   source.Add("runs", RunsTable(runs, rng));
   return source;
 }
 
 /// The generated tables loaded into an engine::Database (typed stored
-/// columns), plus the oracle's copy: the same rows with the schema's own
-/// coercion applied (runs.weight's int cells become doubles), so both hold
-/// the same data without reading the stored columns back.
+/// columns), plus the same rows with the schema's own coercion applied
+/// (runs.weight's int cells become doubles) in both input forms, so all
+/// hold the same data without reading the stored columns back.
 struct DbFixture {
   Database db{"parity", sql::Vendor::kMySql};
-  MapTableSource oracle;
+  Tables tables;
 
   void Load(const std::string& name, std::vector<storage::ColumnDef> columns,
             ResultSet rows) {
@@ -203,12 +220,12 @@ struct DbFixture {
     }
     ASSERT_TRUE(db.CreateTable(schema).ok());
     ASSERT_TRUE(db.InsertRows(name, rows.rows).ok());
-    oracle.Add(name, std::move(rows));
+    tables.Add(name, std::move(rows));
   }
 
   bool Check(const std::string& sql_text, size_t batch_rows = 1024) {
     return CheckParityWith(
-        sql_text, oracle,
+        sql_text, tables.rows,
         [this](const sql::SelectStmt& stmt, const ExecOptions& opts) {
           return db.ExecuteSelect(stmt, opts);
         },
@@ -382,7 +399,7 @@ class QueryGen {
 // Randomized sweep
 
 TEST(VectorizedParity, RandomizedQueries) {
-  MapTableSource source = MakeSource(197, 41, 0xfeed);
+  Tables source = MakeSource(197, 41, 0xfeed);
   QueryGen gen(0xbeef);
   size_t both_ok = 0;
   for (int i = 0; i < 400; ++i) {
@@ -395,7 +412,7 @@ TEST(VectorizedParity, RandomizedQueries) {
 
 TEST(VectorizedParity, RandomizedSmallBatches) {
   // Tiny batch sizes stress chunk-boundary handling in every operator.
-  MapTableSource source = MakeSource(83, 17, 0xabba);
+  Tables source = MakeSource(83, 17, 0xabba);
   for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{7}}) {
     QueryGen gen(0x1234 + batch_rows);
     for (int i = 0; i < 60; ++i) {
@@ -518,9 +535,10 @@ TEST(VectorizedParity, SumOverflowIsAnErrorInBothExecutors) {
     auto stmt = sql::ParseSelect(q, dialect);
     ASSERT_TRUE(stmt.ok());
     const Status want = OutOfRange("integer overflow");
-    EXPECT_EQ(ExecuteSelectReferenceRows(**stmt, fixture.oracle).status(),
+    EXPECT_EQ(ExecuteSelectReferenceRows(**stmt, fixture.tables.rows).status(),
               want) << q;
-    EXPECT_EQ(ExecuteSelect(**stmt, fixture.oracle).status(), want) << q;
+    EXPECT_EQ(ExecuteSelect(**stmt, fixture.tables.columns).status(), want)
+        << q;
     EXPECT_EQ(fixture.db.ExecuteSelect(**stmt).status(), want) << q;
   }
   // Not every value is INT64: SUM is a double sum and cannot overflow.
@@ -534,7 +552,7 @@ TEST(VectorizedParity, SumOverflowIsAnErrorInBothExecutors) {
 
 TEST(VectorizedParity, BatchBoundaryRowCounts) {
   for (size_t n : {size_t{1023}, size_t{1024}, size_t{1025}}) {
-    MapTableSource source = MakeSource(n, 11, n);
+    Tables source = MakeSource(n, 11, n);
     CheckParity("SELECT id, energy FROM events WHERE energy > 50", source);
     CheckParity("SELECT COUNT(*), SUM(energy) FROM events", source);
     CheckParity("SELECT * FROM events ORDER BY energy DESC LIMIT 5", source);
@@ -543,7 +561,7 @@ TEST(VectorizedParity, BatchBoundaryRowCounts) {
 }
 
 TEST(VectorizedParity, EmptyTable) {
-  MapTableSource source;
+  Tables source;
   ResultSet empty;
   empty.columns = {"id", "x"};
   source.Add("events", empty);
@@ -558,7 +576,7 @@ TEST(VectorizedParity, EmptyTable) {
 }
 
 TEST(VectorizedParity, AllNullColumn) {
-  MapTableSource source;
+  Tables source;
   ResultSet rs;
   rs.columns = {"id", "v"};
   for (int i = 0; i < 10; ++i) {
@@ -572,7 +590,7 @@ TEST(VectorizedParity, AllNullColumn) {
 }
 
 TEST(VectorizedParity, LimitOffsetEdges) {
-  MapTableSource source = MakeSource(50, 7, 0x50);
+  Tables source = MakeSource(50, 7, 0x50);
   CheckParity("SELECT id FROM events LIMIT 0", source);
   CheckParity("SELECT id FROM events LIMIT 5 OFFSET 100", source);
   CheckParity("SELECT id FROM events ORDER BY energy LIMIT 0", source);
@@ -582,7 +600,7 @@ TEST(VectorizedParity, LimitOffsetEdges) {
 }
 
 TEST(VectorizedParity, MixedTypeColumn) {
-  MapTableSource source = MakeSource(60, 30, 0x77);
+  Tables source = MakeSource(60, 30, 0x77);
   // runs.weight interleaves int64 and double cells (boxed representation).
   CheckParity("SELECT weight, weight * 2, weight + 0.5 FROM runs", source);
   CheckParity("SELECT SUM(weight), MIN(weight), MAX(weight) FROM runs",
@@ -592,7 +610,7 @@ TEST(VectorizedParity, MixedTypeColumn) {
 }
 
 TEST(VectorizedParity, JoinShapes) {
-  MapTableSource source = MakeSource(70, 25, 0x99);
+  Tables source = MakeSource(70, 25, 0x99);
   CheckParity("SELECT events.id, runs.detector FROM events "
               "JOIN runs ON events.run = runs.run",
               source);
@@ -610,7 +628,7 @@ TEST(VectorizedParity, JoinShapes) {
 }
 
 TEST(VectorizedParity, HavingDropsGroups) {
-  MapTableSource source = MakeSource(90, 12, 0x42);
+  Tables source = MakeSource(90, 12, 0x42);
   CheckParity("SELECT run, COUNT(*) FROM events GROUP BY run "
               "HAVING COUNT(*) > 8",
               source);
@@ -623,37 +641,6 @@ TEST(VectorizedParity, HavingDropsGroups) {
               source);
 }
 
-TEST(VectorizedParity, RaggedRowsFallBackToReference) {
-  MapTableSource source;
-  ResultSet rs;
-  rs.columns = {"a", "b", "c"};
-  rs.rows.push_back({Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3})});
-  rs.rows.push_back({Value(int64_t{4}), Value(int64_t{5})});  // narrow
-  rs.rows.push_back({Value(int64_t{6}), Value(int64_t{7}), Value(int64_t{8}),
-                     Value(int64_t{9})});  // wide
-  source.Add("events", rs);
-  // Projections that only touch present cells succeed in the row path;
-  // the vectorized path must detect the ragged width and defer to it.
-  CheckParity("SELECT a, b FROM events", source);
-  CheckParity("SELECT a FROM events WHERE a > 1", source);
-  CheckParity("SELECT SUM(a) FROM events", source);
-  CheckParity("SELECT a, b, c FROM events", source);  // both error
-}
-
-TEST(VectorizedParity, ReferencePathOptOut) {
-  MapTableSource source = MakeSource(40, 9, 0x7);
-  auto stmt = sql::ParseSelect("SELECT id, energy FROM events WHERE run = 3",
-                               sql::Dialect::For(sql::Vendor::kMySql));
-  ASSERT_TRUE(stmt.ok());
-  ExecOptions opts;
-  opts.use_vectorized = false;
-  auto via_opts = ExecuteSelect(**stmt, source, opts);
-  auto direct = ExecuteSelectReferenceRows(**stmt, source);
-  ASSERT_TRUE(via_opts.ok());
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(ResultsIdentical(*direct, *via_opts));
-}
-
 /// The federated merge's inputs: sub-query partials of `events` and
 /// `runs`, produced by the vectorized executor as typed columns (the form
 /// the sub-query transports ship), and the oracle's copy of the same
@@ -663,11 +650,11 @@ TEST(VectorizedParity, ReferencePathOptOut) {
 /// (LEFT JOIN padding).
 struct MergeFixture {
   MapTableSource columnar;
-  MapTableSource rows;
+  RowTables rows;
 };
 
 MergeFixture MakeMergeFixture(uint64_t variant) {
-  MapTableSource base = MakeSource(150 + variant % 7, 23, 0x5eed + variant);
+  Tables base = MakeSource(150 + variant % 7, 23, 0x5eed + variant);
   const char* events_where[] = {"", " WHERE energy > 30", " WHERE id < 0"};
   const char* runs_where[] = {"", " WHERE run < 5", " WHERE run < 0"};
   const std::string events_sql =
@@ -683,7 +670,7 @@ MergeFixture MakeMergeFixture(uint64_t variant) {
     auto stmt = sql::ParseSelect(text, sql::Dialect::For(sql::Vendor::kMySql));
     EXPECT_TRUE(stmt.ok()) << text;
     if (!stmt.ok()) continue;
-    auto partial = ExecuteSelectColumnar(**stmt, base);
+    auto partial = ExecuteSelectColumnar(**stmt, base.columns);
     EXPECT_TRUE(partial.ok()) << text;
     if (!partial.ok()) continue;
     fixture.rows.Add(name, partial->ToRows());
@@ -754,10 +741,10 @@ TEST(VectorizedParity, MergeShapesOverColumnarPartials) {
 }
 
 TEST(VectorizedParity, ThreadedMixedQueries) {
-  // Shared read-only source, concurrent executors on both paths: the
+  // Shared read-only tables, concurrent executors on both paths: the
   // TSan leg of the suite watches this for unsynchronized shared state
   // (e.g. the registered engine metrics).
-  MapTableSource source = MakeSource(257, 31, 0x1111);
+  Tables source = MakeSource(257, 31, 0x1111);
   std::vector<std::thread> threads;
   threads.reserve(6);
   for (int t = 0; t < 6; ++t) {

@@ -258,12 +258,26 @@ ResultSet RandomResultSet(Rng& rng, bool allow_ragged) {
 
 TEST(TlvCodecTest, RandomizedResultSetRoundTrips) {
   Rng rng(2005);
+  int ragged_trials = 0;
   for (int trial = 0; trial < 60; ++trial) {
     ResultSet rs = RandomResultSet(rng, /*allow_ragged=*/trial % 3 == 0);
     ResultSet expected = rs;
     XmlRpcValue value = ResultSetToRpc(std::move(rs));
     XmlRpcValue decoded = TlvRoundTrip(value);
     auto back = RpcToResultSet(decoded);
+    const bool ragged = std::any_of(
+        expected.rows.begin(), expected.rows.end(),
+        [&](const Row& row) { return row.size() != expected.columns.size(); });
+    if (ragged) {
+      // The codec carries ragged rows intact; the result decode refuses
+      // them.
+      ++ragged_trials;
+      ASSERT_NE(decoded.result_set(), nullptr) << "trial " << trial;
+      EXPECT_EQ(decoded.result_set()->rows, expected.rows) << "trial " << trial;
+      EXPECT_EQ(back.status().code(), StatusCode::kTypeError)
+          << "trial " << trial;
+      continue;
+    }
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back->columns, expected.columns) << "trial " << trial;
     ASSERT_EQ(back->rows.size(), expected.rows.size()) << "trial " << trial;
@@ -271,6 +285,31 @@ TEST(TlvCodecTest, RandomizedResultSetRoundTrips) {
       EXPECT_EQ(back->rows[r], expected.rows[r]) << "trial " << trial
                                                  << " row " << r;
     }
+  }
+  EXPECT_GT(ragged_trials, 0);
+}
+
+TEST(TlvCodecTest, PeersRaggedResultIsRefusedOverBothCodecs) {
+  // A peer's result whose rows are narrower or wider than its column list
+  // is refused where it is decoded, on the XML struct form and on the
+  // binary-decoded native set alike; rectangular ones still pass.
+  for (size_t width : {size_t{1}, size_t{3}, size_t{2}}) {
+    ResultSet rs;
+    rs.columns = {"a", "b"};
+    rs.rows = {{Value(int64_t{1}), Value(2.0)}, {}};
+    for (size_t c = 0; c < width; ++c) rs.rows[1].push_back(Value("x"));
+    const StatusCode want =
+        width == rs.columns.size() ? StatusCode::kOk : StatusCode::kTypeError;
+    XmlRpcValue value = ResultSetToRpc(ResultSet(rs));
+
+    auto via_xml = DecodeResponse(EncodeResponse(value));
+    ASSERT_TRUE(via_xml.ok()) << via_xml.status().ToString();
+    ASSERT_EQ(via_xml->result_set(), nullptr) << "XML carries the struct form";
+    EXPECT_EQ(RpcToResultSet(*via_xml).status().code(), want) << width;
+
+    XmlRpcValue via_binary = TlvRoundTrip(value);
+    ASSERT_NE(via_binary.result_set(), nullptr);
+    EXPECT_EQ(RpcToResultSet(via_binary).status().code(), want) << width;
   }
 }
 
